@@ -132,11 +132,6 @@ std::vector<std::uint32_t> linspace(std::uint32_t lo, std::uint32_t hi,
   return out;
 }
 
-namespace {
-
-/// Hash of every flag that shapes what a sweep computes. Binds a checkpoint
-/// file to this bench + configuration: resuming under any other flag set
-/// would silently mix incompatible partial results, so the session refuses.
 std::uint64_t sweep_config_hash(const BenchOptions& opts) {
   std::string fp = opts.name;
   const auto field = [&fp](const std::string& v) {
@@ -155,10 +150,9 @@ std::uint64_t sweep_config_hash(const BenchOptions& opts) {
   // --threads and --intra-threads are deliberately NOT hashed: both knobs
   // are bit-identical by construction (fixed partition, fixed merge order),
   // so a checkpoint written at one setting resumes correctly at another.
+  field("stream " + format_u64(core::kMechanismStreamVersion));
   return fnv1a64(fp);
 }
-
-}  // namespace
 
 sim::AggregateMetrics run_point(
     const BenchOptions& opts, const sim::Scenario& scenario,

@@ -167,6 +167,13 @@ std::uint32_t scaled(std::uint64_t value, double scale,
 std::vector<std::uint32_t> linspace(std::uint32_t lo, std::uint32_t hi,
                                     std::uint32_t points);
 
+/// Hash of every flag that shapes what a sweep computes, plus the mechanism
+/// RNG stream version. Binds a checkpoint (in-process or supervised shard
+/// payload) to this bench, configuration and stream: resuming under any
+/// other flag set or stream would silently mix incompatible partial
+/// results, so the session refuses.
+std::uint64_t sweep_config_hash(const BenchOptions& opts);
+
 /// Runs one sweep point (opts.trials trials of `scenario`) through the
 /// guarded engine, honoring the robustness flags: faults are quarantined
 /// within the failure budget, and with --checkpoint each point is durably

@@ -10,6 +10,16 @@
 
 namespace rit::core {
 
+/// Version of the mechanism's RNG draw sequence. Two builds with the same
+/// version consume identical draws for identical inputs, so their outcomes
+/// agree bit for bit at a shared seed. Bump it whenever an algorithm
+/// change keeps the outcome distribution but reorders or drops draws; it
+/// is bound into checkpoint/shard identity and the `.ritcase` header, so
+/// artifacts of an older stream are refused instead of silently mixed.
+///   1: CRA phase 2 tie-shuffled the whole unit book.
+///   2: CRA phase 2 orders and tie-shuffles only the asks <= its threshold.
+inline constexpr std::uint32_t kMechanismStreamVersion = 2;
+
 /// What CRA does when its Bernoulli(1/(q+m_i)) sample S comes back empty
 /// (Alg. 1 line 2 leaves s = min S undefined in that case).
 enum class EmptySamplePolicy {

@@ -37,17 +37,30 @@ std::uint64_t consensus_round_down(std::uint64_t count, double y,
 
 namespace {
 
-// Ascending-value index order with ties first in index order, then shuffled
-// uniformly: equal asks must be treated equally ("anonymity"), otherwise
-// "the smallest n asks" would systematically favour whichever user Extract
-// happened to expand first. The index tie-break makes plain sort produce
-// exactly what stable_sort over values would — without stable_sort's
-// per-call temporary buffer, keeping the round allocation-free.
-void sorted_order_with_shuffled_ties(std::span<const double> asks,
-                                     std::vector<std::uint32_t>& order,
-                                     rng::Rng& rng) {
-  order.resize(asks.size());
-  std::iota(order.begin(), order.end(), 0u);
+// The asks at or below `threshold`, in ascending-value order with ties
+// first in index order, then shuffled uniformly: equal asks must be treated
+// equally ("anonymity"), otherwise "the smallest n asks" would
+// systematically favour whichever user Extract happened to expand first.
+// The index tie-break makes plain sort produce exactly what stable_sort
+// over values would — without stable_sort's per-call temporary buffer,
+// keeping the round allocation-free.
+//
+// Only the partition {v <= threshold} is ordered: O(n + r log r) for r
+// kept asks instead of a full-book O(n log n) sort. The result equals the
+// first r positions of a full tie-shuffled sort in distribution: a tie
+// group holding any value <= threshold lies wholly inside the partition,
+// and groups are shuffled in the same ascending order either way.
+void sorted_prefix_with_shuffled_ties(std::span<const double> asks,
+                                      double threshold,
+                                      std::vector<std::uint32_t>& order,
+                                      rng::Rng& rng) {
+  order.clear();
+  // Full-book capacity, as the whole-book sort held: the kept count varies
+  // per round, and steady-state rounds must never grow the buffer.
+  order.reserve(asks.size());
+  for (std::uint32_t i = 0; i < asks.size(); ++i) {
+    if (asks[i] <= threshold) order.push_back(i);
+  }
   std::sort(order.begin(), order.end(),
             [&](std::uint32_t a, std::uint32_t b) {
               if (asks[a] != asks[b]) return asks[a] < asks[b];
@@ -63,6 +76,15 @@ void sorted_order_with_shuffled_ties(std::span<const double> asks,
     if (j - i > 1) rng.shuffle(std::span<std::uint32_t>(&order[i], j - i));
     i = j;
   }
+}
+
+// q of the first `n` ordered positions, uniformly. The pool is reserved to
+// the round's budget (n never exceeds it), so once a workspace has seen a
+// type's first round the sampling never touches the heap again.
+void sample_positions(std::size_t n, std::uint32_t q, std::uint64_t budget,
+                      rng::Rng& rng, CraWorkspace& ws) {
+  ws.sample_pool.reserve(static_cast<std::size_t>(budget));
+  rng.sample_without_replacement_into(n, q, ws.sample_pool, ws.sample_out);
 }
 
 }  // namespace
@@ -95,13 +117,23 @@ void run_cra(std::span<const double> asks, const CraParams& params,
     // Ablation arm: a plain (q+m_i+1)-st lowest price round. Needs at least
     // budget+1 asks to define the price; ties shuffled like the main path.
     if (asks.size() < budget + 1) return;
-    sorted_order_with_shuffled_ties(asks, ws.order, rng);
+    // The price is the value at rank `budget`; only the asks at or below
+    // it need ordering.
+    ws.order.resize(asks.size());
+    std::iota(ws.order.begin(), ws.order.end(), 0u);
+    std::nth_element(ws.order.begin(),
+                     ws.order.begin() + static_cast<std::ptrdiff_t>(budget),
+                     ws.order.end(), [&](std::uint32_t a, std::uint32_t b) {
+                       return asks[a] < asks[b];
+                     });
     const double price = asks[ws.order[budget]];
+    sorted_prefix_with_shuffled_ties(asks, price, ws.order, rng);
+    RIT_CHECK(ws.order.size() > budget);
+    RIT_DCHECK(asks[ws.order[budget]] == price);
     out.sample_min = price;
     out.raw_count = budget;
     out.consensus_count = budget;
-    rng.sample_without_replacement_into(budget, params.q, ws.sample_pool,
-                                        ws.sample_out);
+    sample_positions(budget, params.q, budget, rng, ws);
     for (std::size_t i : ws.sample_out) out.won[ws.order[i]] = true;
     out.num_winners = params.q;
     out.clearing_price = price;
@@ -148,48 +180,46 @@ void run_cra(std::span<const double> asks, const CraParams& params,
 
   // Phase 2 of the CRA round: winner selection and pricing (steps 3-5).
   RIT_TRACE_SPAN("cra.phase2");
-  sorted_order_with_shuffled_ties(asks, ws.order, rng);
+  sorted_prefix_with_shuffled_ties(asks, s, ws.order, rng);
+  RIT_CHECK(ws.order.size() == out.raw_count);
 
-  // Step 3: potential winners, in ascending-value order.
-  std::vector<std::uint32_t>& chosen = ws.chosen;
-  chosen.clear();
+  // Step 3: potential winners, in ascending-value order. They stay a
+  // prefix of ws.order: the keep-sampling branch compacts the kept asks to
+  // the front in place (write position <= read position).
+  std::size_t chosen = 0;
   if (n_s <= budget) {
-    chosen.assign(ws.order.begin(),
-                  ws.order.begin() + static_cast<std::ptrdiff_t>(n_s));
+    chosen = static_cast<std::size_t>(n_s);
   } else {
     const double keep_p =
         static_cast<double>(budget) / (2.0 * static_cast<double>(n_s));
-    chosen.reserve(n_s);
     for (std::uint64_t i = 0; i < n_s; ++i) {
-      if (rng.bernoulli(keep_p)) chosen.push_back(ws.order[i]);
+      if (rng.bernoulli(keep_p)) ws.order[chosen++] = ws.order[i];
     }
   }
 
   // Step 4: if over the potential-winner budget, keep the cheapest q+m_i and
   // reprice at the first excluded ask (a (q+m_i+1)-st price auction).
   double price = s;
-  if (chosen.size() > budget) {
-    price = asks[chosen[budget]];  // (q+m_i+1)-st smallest chosen ask value
-    chosen.resize(budget);
+  if (chosen > budget) {
+    price = asks[ws.order[budget]];  // (q+m_i+1)-st smallest chosen value
+    chosen = static_cast<std::size_t>(budget);
     out.used_budget_price = true;
   }
 
   // Step 5: if more than q survive, q winners uniformly at random.
-  if (chosen.size() > params.q) {
-    rng.sample_without_replacement_into(chosen.size(), params.q,
-                                        ws.sample_pool, ws.sample_out);
-    ws.winners.clear();
-    ws.winners.reserve(params.q);
-    for (std::size_t i : ws.sample_out) ws.winners.push_back(chosen[i]);
-    std::swap(chosen, ws.winners);
-  }
-
-  for (std::uint32_t w : chosen) {
+  const auto win = [&](std::uint32_t w) {
     RIT_DCHECK(asks[w] <= price);  // Lemma 6.1: winners never outbid the price
     out.won[w] = true;
+  };
+  if (chosen > params.q) {
+    sample_positions(chosen, params.q, budget, rng, ws);
+    for (std::size_t i : ws.sample_out) win(ws.order[i]);
+    out.num_winners = params.q;
+  } else {
+    for (std::size_t i = 0; i < chosen; ++i) win(ws.order[i]);
+    out.num_winners = static_cast<std::uint32_t>(chosen);
   }
-  out.num_winners = static_cast<std::uint32_t>(chosen.size());
-  out.clearing_price = chosen.empty() ? 0.0 : price;
+  out.clearing_price = out.num_winners == 0 ? 0.0 : price;
   RIT_COUNTER_ADD("cra.winners", out.num_winners);
 }
 

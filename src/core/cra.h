@@ -71,15 +71,15 @@ struct CraOutcome {
 
 /// Reusable scratch for run_cra. RIT runs one CRA round per type per
 /// round-budget step, and a sweep runs millions of rounds; without reuse
-/// every round rebuilds the `order`/`chosen` vectors (plus the Fisher-Yates
-/// sampling pool) on the heap. Keep one workspace per thread and pass it to
-/// every round: at steady state (buffers grown to the population size) a
-/// round performs no heap allocation. Contents are scratch only — nothing
-/// in here carries state between rounds.
+/// every round rebuilds the `order` vector (plus the Fisher-Yates sampling
+/// pool) on the heap. Keep one workspace per thread and pass it to every
+/// round: at steady state (buffers grown to the population size) a round
+/// performs no heap allocation. Contents are scratch only — nothing in
+/// here carries state between rounds.
 struct CraWorkspace {
+  /// The asks at or below the round's threshold in tie-shuffled ascending
+  /// order; steps 3-5 narrow the potential winners to a prefix of it.
   std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> chosen;
-  std::vector<std::uint32_t> winners;
   std::vector<std::size_t> sample_pool;
   std::vector<std::size_t> sample_out;
 };

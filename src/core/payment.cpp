@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 // rit-lint: allow-file(testkit-only-injection)
 #include "common/bug_inject.h"
@@ -96,19 +97,22 @@ void tree_payments_into(const tree::IncentiveTree& tree,
   const std::size_t nodes = preorder.size();
   ws.contrib_prefix.resize(nodes + 1);
   ws.contrib_prefix[0] = 0.0;
-  parallel_for_blocked(
-      nodes, threads,
-      [&](std::uint64_t begin, std::uint64_t end, unsigned) {
-        for (std::uint64_t pos = begin; pos < end; ++pos) {
-          const std::uint32_t node = preorder[pos];
-          double c = 0.0;
-          if (node != 0) {
-            const std::uint32_t i = tree::participant_of_node(node);
-            c = ws.depth_discount[tree.depth(node)] * auction_payments[i];
-          }
-          ws.contrib_prefix[pos + 1] = c;
-        }
-      });
+  // Both blocked passes hand their body over by std::cref: a std::function
+  // wrapping a reference_wrapper stores it inline, where a by-reference
+  // lambda this size would be copied to the heap on every run.
+  const auto contribute = [&](std::uint64_t begin, std::uint64_t end,
+                              unsigned) {
+    for (std::uint64_t pos = begin; pos < end; ++pos) {
+      const std::uint32_t node = preorder[pos];
+      double c = 0.0;
+      if (node != 0) {
+        const std::uint32_t i = tree::participant_of_node(node);
+        c = ws.depth_discount[tree.depth(node)] * auction_payments[i];
+      }
+      ws.contrib_prefix[pos + 1] = c;
+    }
+  };
+  parallel_for_blocked(nodes, threads, std::cref(contribute));
 
   // Stage 2 (serial): the same-type exclusion needs per-type sparse prefix
   // sums (positions of type-t nodes in preorder + running sums), flattened
@@ -151,37 +155,34 @@ void tree_payments_into(const tree::IncentiveTree& tree,
 
   // Stage 4: per-participant subtree queries. p[i] is the only write and
   // indices are disjoint, so the query loop parallelizes bit-identically.
-  parallel_for_blocked(
-      n, threads, [&](std::uint64_t qb, std::uint64_t qe, unsigned) {
-        for (std::uint64_t i = qb; i < qe; ++i) {
-          const std::uint32_t node =
-              tree::node_of_participant(static_cast<std::uint32_t>(i));
-          if (tree.subtree_size(node) == 1) continue;  // leaf: no descendants
-          const std::uint32_t begin = tree.preorder_index(node);
-          const std::uint32_t end =
-              begin + tree.subtree_size(node);  // exclusive
-          // Whole-subtree contribution, then subtract the same-type share.
-          // The node's own contribution is of its own type, so it cancels.
-          const double total =
-              ws.contrib_prefix[end] - ws.contrib_prefix[begin];
-          const std::uint32_t t = types[i].value;
-          const auto* pos_begin = ws.type_positions.data() + ws.type_offsets[t];
-          const auto* pos_end =
-              ws.type_positions.data() + ws.type_offsets[t + 1];
-          const auto lo = std::lower_bound(pos_begin, pos_end, begin);
-          const auto hi = std::lower_bound(pos_begin, pos_end, end);
-          const double* prefix = ws.type_prefix.data() + ws.type_offsets[t];
-          const double sum_hi =
-              hi == pos_begin ? 0.0 : prefix[(hi - pos_begin) - 1];
-          const double sum_lo =
-              lo == pos_begin ? 0.0 : prefix[(lo - pos_begin) - 1];
-          const double same_type = sum_hi - sum_lo;
-          // The true reward is a sum of non-negative contributions; the
-          // prefix-sum subtraction can dip a few ulps below zero, which must
-          // not leak into a payment below p_i^A.
-          out[i] += std::max(0.0, total - same_type);
-        }
-      });
+  const auto query = [&](std::uint64_t qb, std::uint64_t qe, unsigned) {
+    for (std::uint64_t i = qb; i < qe; ++i) {
+      const std::uint32_t node =
+          tree::node_of_participant(static_cast<std::uint32_t>(i));
+      if (tree.subtree_size(node) == 1) continue;  // leaf: no descendants
+      const std::uint32_t begin = tree.preorder_index(node);
+      const std::uint32_t end = begin + tree.subtree_size(node);  // exclusive
+      // Whole-subtree contribution, then subtract the same-type share.
+      // The node's own contribution is of its own type, so it cancels.
+      const double total = ws.contrib_prefix[end] - ws.contrib_prefix[begin];
+      const std::uint32_t t = types[i].value;
+      const auto* pos_begin = ws.type_positions.data() + ws.type_offsets[t];
+      const auto* pos_end = ws.type_positions.data() + ws.type_offsets[t + 1];
+      const auto lo = std::lower_bound(pos_begin, pos_end, begin);
+      const auto hi = std::lower_bound(pos_begin, pos_end, end);
+      const double* prefix = ws.type_prefix.data() + ws.type_offsets[t];
+      const double sum_hi =
+          hi == pos_begin ? 0.0 : prefix[(hi - pos_begin) - 1];
+      const double sum_lo =
+          lo == pos_begin ? 0.0 : prefix[(lo - pos_begin) - 1];
+      const double same_type = sum_hi - sum_lo;
+      // The true reward is a sum of non-negative contributions; the
+      // prefix-sum subtraction can dip a few ulps below zero, which must
+      // not leak into a payment below p_i^A.
+      out[i] += std::max(0.0, total - same_type);
+    }
+  };
+  parallel_for_blocked(n, threads, std::cref(query));
 }
 
 double solicitation_premium(std::span<const double> payments,

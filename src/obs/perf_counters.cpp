@@ -10,7 +10,6 @@
 
 #ifdef __linux__
 #include <linux/perf_event.h>
-#include <sys/ioctl.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
@@ -70,19 +69,46 @@ int open_counter(std::size_t id, bool inherit) {
   attr.exclude_kernel = 1;
   attr.exclude_hv = 1;
   attr.inherit = inherit ? 1 : 0;
+  // Per-thread span counters are pinned: read around short spans, an
+  // unpinned event loses every multiplexing slot to the run-level set and
+  // would never run. A pinned event that cannot fit the PMU goes into an
+  // error state whose reads fail, so it reports absent, never zero.
+  attr.pinned = inherit ? 0 : 1;
+  // Enabled/running times expose counters that opened but were never
+  // scheduled (PMU-less VMs) and let multiplexed counts be scaled up.
+  attr.read_format =
+      PERF_FORMAT_TOTAL_TIME_ENABLED | PERF_FORMAT_TOTAL_TIME_RUNNING;
   const long fd = syscall(SYS_perf_event_open, &attr, /*pid=*/0, /*cpu=*/-1,
                           /*group_fd=*/-1, /*flags=*/0UL);
   return static_cast<int>(fd);
 }
 
-std::uint64_t read_counter(int fd) {
-  std::uint64_t value = 0;
+/// One read of a counter fd: the count scaled by enabled/running time (a
+/// multiplexed counter only ran for part of the window), and whether the
+/// kernel ever scheduled it at all. A counter with zero running time has
+/// measured nothing — it is absent, not zero.
+struct CounterRead {
+  std::uint64_t value{0};
+  bool ran{false};
+};
+
+CounterRead read_counter(int fd) {
+  std::uint64_t buf[3] = {0, 0, 0};  // value, time_enabled, time_running
   for (;;) {
-    const ssize_t n = read(fd, &value, sizeof(value));
-    if (n == static_cast<ssize_t>(sizeof(value))) return value;
+    const ssize_t n = read(fd, buf, sizeof(buf));
+    if (n == static_cast<ssize_t>(sizeof(buf))) break;
     if (n < 0 && errno == EINTR) continue;
-    return 0;  // short read / error: treat as no data, never fail the run
+    return {};  // short read / error: treat as no data, never fail the run
   }
+  const std::uint64_t value = buf[0];
+  const std::uint64_t enabled = buf[1];
+  const std::uint64_t running = buf[2];
+  if (running == 0) return {};
+  if (running >= enabled) return {value, true};
+  const double scaled = static_cast<double>(value) *
+                        (static_cast<double>(enabled) /
+                         static_cast<double>(running));
+  return {static_cast<std::uint64_t>(scaled), true};
 }
 
 #endif  // __linux__
@@ -125,12 +151,18 @@ std::map<std::string, PhaseAccum>& retired_phases() {
   return m;
 }
 
+// One reading of the run-level set: totals plus, per counter, whether the
+// kernel ever scheduled it (an fd that opened but never ran is absent).
+struct RunRead {
+  PerfRunTotals totals;
+  std::array<bool, kPerfNumCounters> ran{};
+};
+
 // Run-level (inherited) counter set, owned by whichever thread called
 // start_perf_counters(). Guarded by g_perf_mutex.
 struct RunSet {
   std::array<int, kPerfNumCounters> fd;
-  std::array<bool, kPerfNumCounters> available{};
-  PerfRunTotals frozen;
+  RunRead frozen;
   bool frozen_valid{false};
   std::uint64_t alloc_count_at_start{0};
   std::uint64_t alloc_bytes_at_start{0};
@@ -193,7 +225,7 @@ ThreadPerf& thread_perf() {
 void read_all(ThreadPerf& tp, std::uint64_t out[kPerfNumCounters]) {
   for (std::size_t i = 0; i < kPerfNumCounters; ++i) {
 #ifdef __linux__
-    out[i] = tp.fd[i] >= 0 ? read_counter(tp.fd[i]) : 0;
+    out[i] = tp.fd[i] >= 0 ? read_counter(tp.fd[i]).value : 0;
 #else
     (void)tp;
     out[i] = 0;
@@ -207,11 +239,34 @@ const char* perf_counter_name(std::size_t id) {
   return id < kPerfNumCounters ? kCounterNames[id] : "unknown";
 }
 
+namespace {
+
+RunRead read_run_locked() {
+  RunSet& rs = run_set();
+  if (rs.frozen_valid) return rs.frozen;
+  RunRead r;
+  for (std::size_t i = 0; i < kPerfNumCounters; ++i) {
+#ifdef __linux__
+    if (rs.fd[i] < 0) continue;
+    const CounterRead c = read_counter(rs.fd[i]);
+    r.totals.totals[i] = c.value;
+    r.ran[i] = c.ran;
+#endif
+  }
+  r.totals.alloc_count = g_alloc_count.load(std::memory_order_relaxed) -
+                         rs.alloc_count_at_start;
+  r.totals.alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed) -
+                         rs.alloc_bytes_at_start;
+  return r;
+}
+
+}  // namespace
+
 PerfAvailability perf_availability() {
   PerfAvailability a;
   a.alloc_hook = g_alloc_hook_linked.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(g_perf_mutex);
-  a.counter = run_set().available;
+  a.counter = read_run_locked().ran;
   return a;
 }
 
@@ -231,13 +286,10 @@ void start_perf_counters() {
   RunSet& rs = run_set();
   for (std::size_t i = 0; i < kPerfNumCounters; ++i) {
 #ifdef __linux__
-    if (rs.fd[i] < 0) rs.fd[i] = open_counter(i, /*inherit=*/true);
-    rs.available[i] = rs.fd[i] >= 0;
-    if (rs.fd[i] >= 0) {
-      ioctl(rs.fd[i], PERF_EVENT_IOC_RESET, 0);
-    }
-#else
-    rs.available[i] = false;
+    // A fresh fd per run: its enabled/running times then cover exactly
+    // this run, which the availability and multiplex scaling rely on.
+    if (rs.fd[i] >= 0) close(rs.fd[i]);
+    rs.fd[i] = open_counter(i, /*inherit=*/true);
 #endif
   }
   rs.frozen_valid = false;
@@ -248,31 +300,11 @@ void start_perf_counters() {
   detail::g_perf_active.store(true, std::memory_order_relaxed);
 }
 
-namespace {
-
-PerfRunTotals read_run_totals_locked() {
-  RunSet& rs = run_set();
-  if (rs.frozen_valid) return rs.frozen;
-  PerfRunTotals t;
-  for (std::size_t i = 0; i < kPerfNumCounters; ++i) {
-#ifdef __linux__
-    t.totals[i] = rs.fd[i] >= 0 ? read_counter(rs.fd[i]) : 0;
-#endif
-  }
-  t.alloc_count = g_alloc_count.load(std::memory_order_relaxed) -
-                  rs.alloc_count_at_start;
-  t.alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed) -
-                  rs.alloc_bytes_at_start;
-  return t;
-}
-
-}  // namespace
-
 void stop_perf_counters() {
   detail::g_perf_active.store(false, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(g_perf_mutex);
   RunSet& rs = run_set();
-  rs.frozen = read_run_totals_locked();
+  rs.frozen = read_run_locked();
   rs.frozen_valid = true;
 }
 
@@ -282,8 +314,10 @@ bool perf_counters_active() {
 
 std::vector<PerfPhaseStat> collect_perf_phase_stats() {
   std::map<std::string, PhaseAccum> merged;
+  std::array<bool, kPerfNumCounters> ran{};
   {
     std::lock_guard<std::mutex> lock(g_perf_mutex);
+    ran = read_run_locked().ran;
     merged = retired_phases();
     for (const ThreadPerf* tp : live_perf()) {
       for (const auto& [name, accum] : tp->phases) {
@@ -297,7 +331,10 @@ std::vector<PerfPhaseStat> collect_perf_phase_stats() {
     PerfPhaseStat s;
     s.name = name;
     s.count = accum.count;
-    s.totals = accum.totals;
+    // An absent counter reports nothing, not a zero that looks measured.
+    for (std::size_t i = 0; i < kPerfNumCounters; ++i) {
+      s.totals[i] = ran[i] ? accum.totals[i] : 0;
+    }
     s.alloc_count = accum.alloc_count;
     s.alloc_bytes = accum.alloc_bytes;
     out.push_back(std::move(s));
@@ -307,7 +344,7 @@ std::vector<PerfPhaseStat> collect_perf_phase_stats() {
 
 PerfRunTotals perf_run_totals() {
   std::lock_guard<std::mutex> lock(g_perf_mutex);
-  return read_run_totals_locked();
+  return read_run_locked().totals;
 }
 
 namespace detail {

@@ -49,9 +49,10 @@ enum PerfCounterId : std::size_t {
 /// these are the keys the history ledger and bench_diff use.
 const char* perf_counter_name(std::size_t id);
 
-/// What this process can actually measure. `counter[i]` reflects whether
-/// the run-level perf fd for counter i opened; `alloc_hook` is true when
-/// obs/alloc_hook.cpp is linked into the binary.
+/// What this process can actually measure. `counter[i]` is true when the
+/// run-level perf fd for counter i opened AND the kernel scheduled it for
+/// a nonzero time (PMU-less VMs open hardware events that never count);
+/// `alloc_hook` is true when obs/alloc_hook.cpp is linked into the binary.
 struct PerfAvailability {
   std::array<bool, kPerfNumCounters> counter{};
   bool alloc_hook{false};
@@ -110,7 +111,8 @@ std::vector<PerfPhaseStat> collect_perf_phase_stats();
 
 /// Whole-run counter totals from the inherited run-level set (covers
 /// every thread spawned after start_perf_counters), plus process-wide
-/// allocation totals from the hook.
+/// allocation totals from the hook. A counter the kernel multiplexed is
+/// scaled by its enabled/running time ratio.
 struct PerfRunTotals {
   std::array<std::uint64_t, kPerfNumCounters> totals{};
   std::uint64_t alloc_count{0};

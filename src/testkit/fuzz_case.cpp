@@ -11,7 +11,14 @@
 namespace rit::testkit {
 namespace {
 
-constexpr const char* kMagic = "ritcs-fuzzcase v1";
+// The format version is the mechanism stream version: a case replays the
+// draws of the stream it was recorded under, so a case from another stream
+// is refused rather than replayed against different draws.
+constexpr const char* kMagicPrefix = "ritcs-fuzzcase v";
+
+std::string magic_line() {
+  return kMagicPrefix + format_u64(core::kMechanismStreamVersion);
+}
 
 const char* price_name(core::PriceMode m) {
   return m == core::PriceMode::kConsensus ? "consensus" : "order";
@@ -84,7 +91,7 @@ std::string serialize_case(const FuzzCase& c) {
   RIT_CHECK(c.parents.size() == c.asks.size());
   const std::string payload = payload_text(c);
   std::ostringstream out;
-  out << kMagic << "\n";
+  out << magic_line() << "\n";
   out << "checksum " << format_u64(fnv1a64(payload)) << "\n";
   out << payload;
   if (!c.signature.empty()) out << "sig " << c.signature << "\n";
@@ -95,10 +102,24 @@ std::uint64_t case_hash(const FuzzCase& c) {
   return fnv1a64(payload_text(c));
 }
 
-std::optional<FuzzCase> parse_case(const std::string& text) {
+std::optional<FuzzCase> parse_case(const std::string& text,
+                                   std::string* error) {
+  std::string ignored;
+  std::string& why = error != nullptr ? *error : ignored;
+  why = "malformed case or checksum mismatch";
   std::istringstream in(text);
   std::string line;
-  if (!std::getline(in, line) || line != kMagic) return std::nullopt;
+  if (!std::getline(in, line)) return std::nullopt;
+  if (line != magic_line()) {
+    why = line.rfind(kMagicPrefix, 0) == 0
+              ? "case is format '" + line + "', this build reads '" +
+                    magic_line() +
+                    "': it was recorded under another mechanism RNG "
+                    "stream version and cannot replay here; regenerate "
+                    "it with ritcs-fuzz"
+              : "not a ritcs-fuzzcase file";
+    return std::nullopt;
+  }
   if (!std::getline(in, line)) return std::nullopt;
   auto checksum_fields = fields_of(line);
   if (checksum_fields.size() != 2 || checksum_fields[0] != "checksum") {
@@ -220,12 +241,16 @@ std::optional<FuzzCase> parse_case(const std::string& text) {
   return c;
 }
 
-std::optional<FuzzCase> load_case_file(const std::string& path) {
+std::optional<FuzzCase> load_case_file(const std::string& path,
+                                       std::string* error) {
   std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
+  if (!in.good()) {
+    if (error != nullptr) *error = "cannot open file";
+    return std::nullopt;
+  }
   std::ostringstream ss;
   ss << in.rdbuf();
-  return parse_case(ss.str());
+  return parse_case(ss.str(), error);
 }
 
 void write_case_file(const std::string& path, const FuzzCase& c) {

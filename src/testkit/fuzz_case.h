@@ -5,9 +5,10 @@
 // vector, the asks, each participant's true unit cost (for the IR
 // invariant), the tree's parent vector, the full RitConfig, and the
 // mechanism seed. The on-disk format is a line-keyed text file
-// ("ritcs-fuzzcase v1") with hex-float doubles and an FNV-1a checksum, so
-// a committed repro reloads bit-identically on any platform and a corrupt
-// or hand-mangled file is rejected rather than silently misreplayed.
+// ("ritcs-fuzzcase v<N>", N = core::kMechanismStreamVersion) with hex-float
+// doubles and an FNV-1a checksum, so a committed repro reloads
+// bit-identically on any platform, and a corrupt, hand-mangled or
+// other-stream file is rejected rather than silently misreplayed.
 #pragma once
 
 #include <cstdint>
@@ -40,16 +41,19 @@ struct FuzzCase {
   std::string signature;
 };
 
-/// Serializes to the "ritcs-fuzzcase v1" text format. Deterministic:
+/// Serializes to the "ritcs-fuzzcase v<N>" text format. Deterministic:
 /// identical cases serialize to identical bytes.
 std::string serialize_case(const FuzzCase& c);
 
 /// Parses a serialized case; verifies the version line and the checksum.
-/// Empty optional on any malformed input.
-std::optional<FuzzCase> parse_case(const std::string& text);
+/// Empty optional on any malformed input, with the reason in `*error`
+/// when given (a case from another stream version names both versions).
+std::optional<FuzzCase> parse_case(const std::string& text,
+                                   std::string* error = nullptr);
 
 /// Reads and parses a case file; empty optional if unreadable/malformed.
-std::optional<FuzzCase> load_case_file(const std::string& path);
+std::optional<FuzzCase> load_case_file(const std::string& path,
+                                       std::string* error = nullptr);
 
 /// Atomically writes `c` to `path` (write-fsync-rename).
 void write_case_file(const std::string& path, const FuzzCase& c);

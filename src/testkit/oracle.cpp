@@ -60,12 +60,14 @@ std::uint64_t naive_consensus_round_down(std::uint64_t count, double y,
   return static_cast<std::uint64_t>(std::floor(std::pow(base, z + y)));
 }
 
-/// Ascending-value order with ties shuffled. std::stable_sort on the value
-/// alone reproduces production's plain sort with an index tie-break (both
-/// leave equal values in ascending index order before the shuffle), and
-/// the per-run shuffles then consume identical draws.
+/// Ascending-value order with the ties among values <= `threshold`
+/// shuffled. std::stable_sort on the value alone reproduces production's
+/// plain sort with an index tie-break (both leave equal values in
+/// ascending index order before the shuffle). Production only orders the
+/// asks <= threshold; this sorts the whole book and stops shuffling at the
+/// threshold, so the per-run shuffles consume identical draws.
 std::vector<std::uint32_t> naive_sorted_shuffled(
-    const std::vector<double>& values, rng::Rng& rng) {
+    const std::vector<double>& values, double threshold, rng::Rng& rng) {
   std::vector<std::uint32_t> order(values.size());
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(),
@@ -73,6 +75,7 @@ std::vector<std::uint32_t> naive_sorted_shuffled(
                      return values[a] < values[b];
                    });
   for (std::size_t i = 0; i < order.size();) {
+    if (values[order[i]] > threshold) break;
     std::size_t j = i + 1;
     while (j < order.size() && values[order[j]] == values[order[i]]) ++j;
     if (j - i > 1) rng.shuffle(std::span<std::uint32_t>(&order[i], j - i));
@@ -98,9 +101,11 @@ NaiveRound naive_cra(const std::vector<double>& values,
 
   if (params.price_mode == PriceMode::kOrderStatistic) {
     if (values.size() < budget + 1) return out;
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    const double price = sorted[budget];
     const std::vector<std::uint32_t> order =
-        naive_sorted_shuffled(values, rng);
-    const double price = values[order[budget]];
+        naive_sorted_shuffled(values, price, rng);
     const std::vector<std::size_t> sample =
         rng.sample_without_replacement(budget, params.q);
     for (std::size_t i : sample) out.won[order[i]] = true;
@@ -133,7 +138,8 @@ NaiveRound naive_cra(const std::vector<double>& values,
       naive_consensus_round_down(raw, y, params.consensus_grid_base);
   if (n_s == 0) return out;
 
-  const std::vector<std::uint32_t> order = naive_sorted_shuffled(values, rng);
+  const std::vector<std::uint32_t> order =
+      naive_sorted_shuffled(values, s, rng);
 
   // Step 3: potential winners in ascending-value order.
   std::vector<std::uint32_t> chosen;

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <span>
 #include <vector>
 
 #include "core/cra.h"
 #include "rng/rng.h"
+#include "stats/chi_square.h"
 
 namespace rit::core {
 namespace {
@@ -488,6 +492,216 @@ TEST(Cra, UniformWinnerSelectionAmongChosen) {
   for (int w = 0; w < 4; ++w) {
     EXPECT_NEAR(static_cast<double>(wins[w]) / total, 0.25, 0.05);
   }
+}
+
+// --- Phase 2 orders only the asks <= s --------------------------------------
+
+// The stream-1 CRA round, kept verbatim as a reference: phase 2 sorts and
+// tie-shuffles the WHOLE unit book. On a tie-free book no shuffle draws
+// anything, so the current round must reproduce it bit for bit.
+CraOutcome full_sort_cra(std::span<const double> asks,
+                         const CraParams& params, rng::Rng& rng) {
+  CraOutcome out;
+  out.won.assign(asks.size(), false);
+  if (asks.empty() || params.q == 0) return out;
+  const std::uint64_t budget =
+      static_cast<std::uint64_t>(params.q) + params.m_i;
+  const auto full_sort = [&] {
+    std::vector<std::uint32_t> order(asks.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                if (asks[a] != asks[b]) return asks[a] < asks[b];
+                return a < b;
+              });
+    for (std::size_t i = 0; i < order.size();) {
+      std::size_t j = i + 1;
+      while (j < order.size() && asks[order[j]] == asks[order[i]]) ++j;
+      if (j - i > 1) rng.shuffle(std::span<std::uint32_t>(&order[i], j - i));
+      i = j;
+    }
+    return order;
+  };
+  if (params.price_mode == PriceMode::kOrderStatistic) {
+    if (asks.size() < budget + 1) return out;
+    const std::vector<std::uint32_t> order = full_sort();
+    out.clearing_price = asks[order[budget]];
+    for (std::size_t i : rng.sample_without_replacement(budget, params.q)) {
+      out.won[order[i]] = true;
+    }
+    out.num_winners = params.q;
+    return out;
+  }
+  const double sample_p = 1.0 / static_cast<double>(budget);
+  double s = std::numeric_limits<double>::infinity();
+  bool sampled_any = false;
+  for (double v : asks) {
+    if (rng.bernoulli(sample_p)) {
+      sampled_any = true;
+      s = std::min(s, v);
+    }
+  }
+  if (!sampled_any) {
+    if (params.empty_sample == EmptySamplePolicy::kNoWinners) return out;
+    s = *std::max_element(asks.begin(), asks.end());
+  }
+  out.sample_min = s;
+  const double y = rng.uniform01();
+  std::uint64_t raw = 0;
+  for (double v : asks) raw += v <= s ? 1 : 0;
+  out.raw_count = raw;
+  const std::uint64_t n_s =
+      consensus_round_down(raw, y, params.consensus_grid_base);
+  out.consensus_count = n_s;
+  if (n_s == 0) return out;
+  const std::vector<std::uint32_t> order = full_sort();
+  std::vector<std::uint32_t> chosen;
+  if (n_s <= budget) {
+    chosen.assign(order.begin(),
+                  order.begin() + static_cast<std::ptrdiff_t>(n_s));
+  } else {
+    const double keep_p =
+        static_cast<double>(budget) / (2.0 * static_cast<double>(n_s));
+    for (std::uint64_t i = 0; i < n_s; ++i) {
+      if (rng.bernoulli(keep_p)) chosen.push_back(order[i]);
+    }
+  }
+  double price = s;
+  if (chosen.size() > budget) {
+    price = asks[chosen[budget]];
+    chosen.resize(budget);
+    out.used_budget_price = true;
+  }
+  if (chosen.size() > params.q) {
+    std::vector<std::uint32_t> winners;
+    for (std::size_t i : rng.sample_without_replacement(chosen.size(),
+                                                        params.q)) {
+      winners.push_back(chosen[i]);
+    }
+    chosen = winners;
+  }
+  for (std::uint32_t w : chosen) out.won[w] = true;
+  out.num_winners = static_cast<std::uint32_t>(chosen.size());
+  out.clearing_price = chosen.empty() ? 0.0 : price;
+  return out;
+}
+
+// A book of `n` pairwise-distinct values in shuffled index order.
+std::vector<double> tie_free_book(std::size_t n, rng::Rng& rng) {
+  std::vector<double> asks(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    asks[i] = 0.5 + 0.01 * static_cast<double>(i);
+  }
+  rng.shuffle(std::span<double>(asks));
+  return asks;
+}
+
+void expect_same_round(const CraOutcome& got, const CraOutcome& want) {
+  EXPECT_EQ(got.won, want.won);
+  EXPECT_EQ(got.num_winners, want.num_winners);
+  EXPECT_EQ(got.clearing_price, want.clearing_price);
+  EXPECT_EQ(got.sample_min, want.sample_min);
+  EXPECT_EQ(got.raw_count, want.raw_count);
+  EXPECT_EQ(got.consensus_count, want.consensus_count);
+  EXPECT_EQ(got.used_budget_price, want.used_budget_price);
+}
+
+TEST(CraPhase2, TieFreeBooksMatchTheFullSortRoundBitForBit) {
+  // Tie-free books make every tie group a singleton, so the partial order
+  // draws exactly what the full sort drew. The rng states must also agree
+  // after the round: no draw was added or dropped anywhere.
+  rng::Rng book_rng(31);
+  std::uint64_t small_ns = 0;
+  std::uint64_t budget_ns = 0;
+  std::uint64_t empty_sample = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = 1 + book_rng.uniform_index(400);
+    const std::vector<double> asks = tie_free_book(n, book_rng);
+    const auto q = static_cast<std::uint32_t>(1 + book_rng.uniform_index(12));
+    // Three regimes: a small budget (n_s > q+m_i, the keep-and-reprice
+    // branch), a moderate one, and one so large the sample is usually
+    // empty (EmptySamplePolicy::kAllAsks takes the whole book).
+    std::uint32_t m = q + static_cast<std::uint32_t>(
+                              book_rng.uniform_index(30));
+    if (trial % 3 == 0) m = 1;
+    if (trial % 3 == 1) m = 100000;
+    const CraParams params{.q = q, .m_i = m};
+    const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(trial);
+    rng::Rng a(seed);
+    rng::Rng b(seed);
+    CraWorkspace ws;
+    CraOutcome got;
+    run_cra(asks, params, a, ws, got);
+    const CraOutcome want = full_sort_cra(asks, params, b);
+    expect_same_round(got, want);
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "draw streams diverged";
+    if (got.consensus_count == 0) continue;
+    if (got.consensus_count > q + m) {
+      ++budget_ns;
+    } else {
+      ++small_ns;
+    }
+    if (got.raw_count == n && got.sample_min == *std::max_element(
+                                                    asks.begin(), asks.end())) {
+      ++empty_sample;
+    }
+  }
+  // Every branch really ran.
+  EXPECT_GT(small_ns, 50u);
+  EXPECT_GT(budget_ns, 30u);
+  EXPECT_GT(empty_sample, 50u);
+}
+
+TEST(CraPhase2, TieFreeOrderStatisticMatchesTheFullSortRound) {
+  rng::Rng book_rng(37);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 2 + book_rng.uniform_index(200);
+    const std::vector<double> asks = tie_free_book(n, book_rng);
+    const auto q = static_cast<std::uint32_t>(1 + book_rng.uniform_index(10));
+    const auto m = static_cast<std::uint32_t>(book_rng.uniform_index(40));
+    const CraParams params{.q = q, .m_i = m,
+                           .price_mode = PriceMode::kOrderStatistic};
+    const std::uint64_t seed = 5000 + static_cast<std::uint64_t>(trial);
+    rng::Rng a(seed);
+    rng::Rng b(seed);
+    const CraOutcome got = run_cra(asks, params, a);
+    const CraOutcome want = full_sort_cra(asks, params, b);
+    EXPECT_EQ(got.won, want.won);
+    EXPECT_EQ(got.num_winners, want.num_winners);
+    EXPECT_EQ(got.clearing_price, want.clearing_price);
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "draw streams diverged";
+  }
+}
+
+TEST(CraPhase2, TieGroupStraddlingTheCutWinsAnonymously) {
+  // Book: two distinct cheap asks, a tie group of four at 3.0 (indices
+  // 2..5), two dearer asks. With q = m_i = 8 the sample is usually empty,
+  // s is then the book maximum and n_s lands in {4, 5, 6, 7}: whenever it
+  // is 3..5 the cut falls inside the tie group, and which members make it
+  // is decided by the tie shuffle alone. Each member must win equally
+  // often in exactly those rounds.
+  const std::vector<double> asks{1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 5.0, 5.5};
+  constexpr std::size_t kFirst = 2;
+  constexpr std::size_t kGroup = 4;
+  const CraParams params{.q = 8, .m_i = 8};
+  rng::Rng rng(20170605);
+  CraWorkspace ws;
+  CraOutcome out;
+  std::array<std::uint64_t, kGroup> wins{};
+  std::uint64_t straddles = 0;
+  for (int t = 0; t < 40000; ++t) {
+    run_cra(asks, params, rng, ws, out);
+    std::size_t group_wins = 0;
+    for (std::size_t k = 0; k < kGroup; ++k) group_wins += out.won[kFirst + k];
+    if (group_wins == 0 || group_wins == kGroup) continue;
+    ++straddles;
+    for (std::size_t k = 0; k < kGroup; ++k) wins[k] += out.won[kFirst + k];
+  }
+  ASSERT_GT(straddles, 5000u);
+  const double stat = stats::chi_square_uniform(wins);
+  EXPECT_LT(stat, stats::chi_square_critical(kGroup - 1, 0.001))
+      << "wins " << wins[0] << " " << wins[1] << " " << wins[2] << " "
+      << wins[3];
 }
 
 }  // namespace

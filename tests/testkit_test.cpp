@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/num_io.h"
 #include "core/payment.h"
 #include "core/rit.h"
 #include "rng/rng.h"
@@ -76,6 +77,37 @@ TEST(FuzzCaseIo, RejectsCorruptInput) {
 
   // Unknown keys are rejected, not skipped.
   EXPECT_FALSE(parse_case(text + "mystery 1\n").has_value());
+}
+
+TEST(FuzzCaseIo, RejectsAnotherStreamVersionByName) {
+  // A case replays the draws of the stream it was recorded under. A v1
+  // case (recorded before CRA phase 2 stopped shuffling ties above its
+  // threshold) must be refused with a message naming both versions, even
+  // though its payload and checksum are intact.
+  rng::Rng rng(23);
+  const FuzzCase c = random_case(rng);
+  const std::string text = serialize_case(c);
+  const std::string current =
+      "ritcs-fuzzcase v" + format_u64(core::kMechanismStreamVersion);
+  ASSERT_EQ(text.rfind(current + "\n", 0), 0u) << text;
+  const std::string v1 = "ritcs-fuzzcase v1" + text.substr(current.size());
+  std::string error;
+  EXPECT_FALSE(parse_case(v1, &error).has_value());
+  EXPECT_NE(error.find("ritcs-fuzzcase v1"), std::string::npos) << error;
+  EXPECT_NE(error.find(current), std::string::npos) << error;
+  EXPECT_NE(error.find("stream version"), std::string::npos) << error;
+
+  const std::string path = testing::TempDir() + "/testkit_case_v1.ritcase";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << v1;
+  }
+  error.clear();
+  EXPECT_FALSE(load_case_file(path, &error).has_value());
+  EXPECT_NE(error.find("ritcs-fuzzcase v1"), std::string::npos) << error;
+
+  // The untouched text still parses: only the version line was at fault.
+  EXPECT_TRUE(parse_case(text).has_value());
 }
 
 TEST(FuzzCaseIo, FileRoundTripIsByteExact) {

@@ -306,11 +306,12 @@ int main(int argc, char** argv) {
     }
 
     if (!repro_path.empty()) {
+      std::string load_error;
       const std::optional<FuzzCase> loaded =
-          rit::testkit::load_case_file(repro_path);
+          rit::testkit::load_case_file(repro_path, &load_error);
       if (!loaded) {
-        std::cerr << "error: cannot load repro file " << repro_path
-                  << " (missing, corrupt, or checksum mismatch)\n";
+        std::cerr << "error: cannot load repro file " << repro_path << ": "
+                  << load_error << "\n";
         return 2;
       }
       const CaseOutcome outcome = run_check(*loaded, isolate);

@@ -188,11 +188,13 @@ int mode_run(cli::Args& args) {
     std::uint64_t config_hash = 0;
     std::unique_ptr<sim::CheckpointSession> session;
     if (!checkpoint.empty()) {
-      // Bind the checkpoint to the full scenario (serialized config) plus
-      // the trial count; resuming under any other setup must refuse.
+      // Bind the checkpoint to the full scenario (serialized config), the
+      // trial count and the mechanism RNG stream; resuming under any other
+      // setup must refuse.
       std::ostringstream cfg;
       sim::write_scenario(s, cfg);
       cfg << "trials " << trials << "\n";
+      cfg << "stream " << core::kMechanismStreamVersion << "\n";
       config_hash = fnv1a64(cfg.str());
       sim::CheckpointSession::Params p;
       p.path = checkpoint;
