@@ -7,7 +7,7 @@
 namespace rit::graph {
 
 Graph barabasi_albert(std::uint32_t num_nodes, std::uint32_t edges_per_node,
-                      rng::Rng& rng, unsigned threads) {
+                      rng::Rng& rng) {
   RIT_CHECK(edges_per_node >= 1);
   RIT_CHECK(num_nodes > edges_per_node);
   std::vector<Edge> edges;
@@ -60,11 +60,10 @@ Graph barabasi_albert(std::uint32_t num_nodes, std::uint32_t edges_per_node,
       endpoints.push_back(v);
     }
   }
-  return Graph(num_nodes, std::move(edges), threads);
+  return Graph(num_nodes, std::move(edges));
 }
 
-Graph erdos_renyi(std::uint32_t num_nodes, double p, rng::Rng& rng,
-                  unsigned threads) {
+Graph erdos_renyi(std::uint32_t num_nodes, double p, rng::Rng& rng) {
   RIT_CHECK(p >= 0.0 && p <= 1.0);
   std::vector<Edge> edges;
   if (p > 0.0 && num_nodes > 1) {
@@ -77,7 +76,11 @@ Graph erdos_renyi(std::uint32_t num_nodes, double p, rng::Rng& rng,
     while (true) {
       if (p < 1.0) {
         double u = 1.0 - rng.uniform01();  // (0,1]
-        idx += static_cast<std::uint64_t>(std::floor(std::log(u) / log1mp));
+        // Compare as a double first: with a tiny p the skip can exceed
+        // 2^64, and casting that to an integer is undefined.
+        const double skip = std::floor(std::log(u) / log1mp);
+        if (skip >= static_cast<double>(total - idx)) break;
+        idx += static_cast<std::uint64_t>(skip);
       }
       if (idx >= total) break;
       const std::uint32_t from = static_cast<std::uint32_t>(idx / (num_nodes - 1));
@@ -87,11 +90,11 @@ Graph erdos_renyi(std::uint32_t num_nodes, double p, rng::Rng& rng,
       ++idx;
     }
   }
-  return Graph(num_nodes, std::move(edges), threads);
+  return Graph(num_nodes, std::move(edges));
 }
 
 Graph watts_strogatz(std::uint32_t num_nodes, std::uint32_t k, double beta,
-                     rng::Rng& rng, unsigned threads) {
+                     rng::Rng& rng) {
   RIT_CHECK(num_nodes >= 3);
   RIT_CHECK(k >= 2 && k % 2 == 0);
   RIT_CHECK(k < num_nodes);
@@ -111,7 +114,7 @@ Graph watts_strogatz(std::uint32_t num_nodes, std::uint32_t k, double beta,
       edges.push_back({v, u});  // influence is mutual in the ring model
     }
   }
-  return Graph(num_nodes, std::move(edges), threads);
+  return Graph(num_nodes, std::move(edges));
 }
 
 Graph star(std::uint32_t num_nodes) {
@@ -131,8 +134,7 @@ Graph path(std::uint32_t num_nodes) {
 }
 
 Graph configuration_model(std::uint32_t num_nodes, double exponent,
-                          std::uint32_t max_degree, rng::Rng& rng,
-                          unsigned threads) {
+                          std::uint32_t max_degree, rng::Rng& rng) {
   RIT_CHECK(num_nodes >= 2);
   RIT_CHECK(exponent > 1.0);
   RIT_CHECK(max_degree >= 1 && max_degree < num_nodes);
@@ -175,7 +177,7 @@ Graph configuration_model(std::uint32_t num_nodes, double exponent,
     }
     for (std::uint32_t v : picked) edges.push_back({u, v});
   }
-  return Graph(num_nodes, std::move(edges), threads);
+  return Graph(num_nodes, std::move(edges));
 }
 
 Graph complete(std::uint32_t num_nodes) {

@@ -1,73 +1,56 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-
-#include "common/parallel.h"
+#include <utility>
 
 namespace rit::graph {
 
-namespace {
-
-bool edge_less(const Edge& a, const Edge& b) {
-  return a.from != b.from ? a.from < b.from : a.to < b.to;
-}
-
-/// Sorts by (from, to). With more than one resolved worker: T contiguous
-/// blocks sorted concurrently, then folded left-to-right with
-/// std::inplace_merge. edge_less is a total order on distinct edges and
-/// equal edges are indistinguishable, so the merged sequence is
-/// byte-identical to the serial std::sort at any thread count.
-void sort_edges(std::vector<Edge>& edges, unsigned threads) {
-  const unsigned t = rit::resolve_threads(threads, edges.size());
-  // Below ~64k edges the spawn + merge overhead beats the win.
-  if (t <= 1 || edges.size() < (1u << 16)) {
-    std::sort(edges.begin(), edges.end(), edge_less);
-    return;
-  }
-  std::vector<std::size_t> bounds(t + 1);
-  for (unsigned w = 0; w <= t; ++w) bounds[w] = edges.size() * w / t;
-  rit::parallel_for_blocked(
-      t, t, [&](std::uint64_t begin, std::uint64_t end, unsigned) {
-        for (std::uint64_t b = begin; b < end; ++b) {
-          std::sort(edges.begin() + static_cast<std::ptrdiff_t>(bounds[b]),
-                    edges.begin() + static_cast<std::ptrdiff_t>(bounds[b + 1]),
-                    edge_less);
-        }
-      });
-  for (unsigned w = 1; w < t; ++w) {
-    std::inplace_merge(edges.begin(),
-                       edges.begin() + static_cast<std::ptrdiff_t>(bounds[w]),
-                       edges.begin() +
-                           static_cast<std::ptrdiff_t>(bounds[w + 1]),
-                       edge_less);
-  }
-}
-
-}  // namespace
-
-Graph::Graph(std::uint32_t num_nodes, std::vector<Edge> edges,
-             unsigned threads)
+Graph::Graph(std::uint32_t num_nodes, std::vector<Edge> edges)
     : num_nodes_(num_nodes) {
+  // Counting sort keyed by `from`, O(E + n). offsets_[u + 1] first counts
+  // row u's edges, then holds row u's start and serves as its scatter
+  // cursor, finishing at row u's end, which is what the CSR stores there.
+  // No separate cursor array.
+  offsets_.assign(std::size_t{num_nodes_} + 1, 0);
   for (const Edge& e : edges) {
     RIT_CHECK_MSG(e.from < num_nodes && e.to < num_nodes,
                   "edge (" << e.from << "," << e.to << ") out of range for "
                            << num_nodes << " nodes");
     RIT_CHECK_MSG(e.from != e.to, "self-loop at node " << e.from);
-  }
-  sort_edges(edges, threads);
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  offsets_.assign(num_nodes_ + 1, 0);
-  targets_.reserve(edges.size());
-  in_degree_.assign(num_nodes_, 0);
-  for (const Edge& e : edges) {
     ++offsets_[e.from + 1];
-    targets_.push_back(e.to);
-    ++in_degree_[e.to];
   }
-  for (std::size_t i = 1; i < offsets_.size(); ++i) {
-    offsets_[i] += offsets_[i - 1];
+  std::size_t start = 0;
+  for (std::size_t u = 1; u < offsets_.size(); ++u) {
+    start += std::exchange(offsets_[u], start);
   }
+  targets_.resize(edges.size());
+  for (const Edge& e : edges) targets_[offsets_[e.from + 1]++] = e.to;
+  std::vector<Edge>().swap(edges);
+
+  // Sort each row (generators mostly emit rows in order already), then drop
+  // duplicates, compacting rows leftwards. Equals sort + unique over (from,
+  // to) pairs followed by a plain CSR build.
+  in_degree_.assign(num_nodes_, 0);
+  std::size_t kept = 0;
+  std::size_t row_begin = 0;
+  for (std::size_t u = 0; u < num_nodes_; ++u) {
+    const std::size_t row_end = offsets_[u + 1];
+    const auto first =
+        targets_.begin() + static_cast<std::ptrdiff_t>(row_begin);
+    const auto last = targets_.begin() + static_cast<std::ptrdiff_t>(row_end);
+    if (!std::is_sorted(first, last)) std::sort(first, last);
+    const std::size_t row_kept = kept;
+    for (std::size_t i = row_begin; i < row_end; ++i) {
+      const std::uint32_t v = targets_[i];
+      if (kept > row_kept && targets_[kept - 1] == v) continue;
+      targets_[kept++] = v;
+      ++in_degree_[v];
+    }
+    offsets_[u + 1] = kept;
+    row_begin = row_end;
+  }
+  targets_.resize(kept);
+  targets_.shrink_to_fit();
 }
 
 bool Graph::has_edge(std::uint32_t u, std::uint32_t v) const {

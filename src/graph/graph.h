@@ -24,14 +24,11 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Builds a CSR graph from an edge list. Self-loops are rejected;
-  /// duplicate edges are deduplicated. Node count is `num_nodes` (edges must
-  /// stay in range). `threads` parallelizes the dominant edge sort with a
-  /// deterministic block-sort + ordered merge; the resulting CSR is
-  /// byte-identical at any thread count (equal edges are identical structs),
-  /// so the knob trades wall-clock for cores, never output.
-  Graph(std::uint32_t num_nodes, std::vector<Edge> edges,
-        unsigned threads = 1);
+  /// Builds a CSR graph from an edge list in O(E + n): a counting sort by
+  /// source, then each row is sorted (only if it is not already) and
+  /// deduplicated in place. Self-loops are rejected; duplicate edges are
+  /// dropped. Node count is `num_nodes` (edges must stay in range).
+  Graph(std::uint32_t num_nodes, std::vector<Edge> edges);
 
   std::uint32_t num_nodes() const { return num_nodes_; }
   std::size_t num_edges() const { return targets_.size(); }

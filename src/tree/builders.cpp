@@ -9,6 +9,39 @@
 
 namespace rit::tree {
 
+namespace {
+
+/// Waves at least this long are radix-sorted; shorter ones use std::sort.
+constexpr std::size_t kRadixWaveCutoff = 4096;
+
+/// Sorts node ids ascending. Long waves take a two-pass 16-bit LSD radix
+/// sort through `scratch`, whose contents are overwritten.
+void sort_wave(std::vector<std::uint32_t>& ids,
+               std::vector<std::uint32_t>& scratch) {
+  if (ids.size() < kRadixWaveCutoff) {
+    std::sort(ids.begin(), ids.end());
+    return;
+  }
+  constexpr std::size_t kBuckets = std::size_t{1} << 16;
+  // counts[0, kBuckets): low halves; counts[kBuckets, 2*kBuckets): high.
+  std::vector<std::uint32_t> counts(2 * kBuckets, 0);
+  for (std::uint32_t v : ids) {
+    ++counts[v & 0xffffu];
+    ++counts[kBuckets + (v >> 16)];
+  }
+  for (std::size_t pass = 0; pass < 2; ++pass) {
+    std::uint32_t start = 0;
+    for (std::size_t b = pass * kBuckets; b < (pass + 1) * kBuckets; ++b) {
+      start += std::exchange(counts[b], start);
+    }
+  }
+  scratch.resize(ids.size());
+  for (std::uint32_t v : ids) scratch[counts[v & 0xffffu]++] = v;
+  for (std::uint32_t v : scratch) ids[counts[kBuckets + (v >> 16)]++] = v;
+}
+
+}  // namespace
+
 SpanningForestResult build_spanning_forest(const graph::Graph& g,
                                            const SpanningForestOptions& opts) {
   RIT_TRACE_SPAN("tree.build");
@@ -85,7 +118,8 @@ SpanningForestResult build_spanning_forest(const graph::Graph& g,
         }
       }
     }
-    std::sort(next.begin(), next.end());
+    // The scan is done with `wave`, so its buffer is the sort's scratch.
+    sort_wave(next, wave);
     const std::size_t size_before = join_order.size();
     for (std::uint32_t v : next) {
       if (join_order.size() >= cap) break;

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "common/check.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "rng/rng.h"
 
 namespace rit::graph {
 namespace {
@@ -35,6 +39,89 @@ TEST(Graph, DeduplicatesParallelEdges) {
   Graph g(3, {{0, 1}, {0, 1}, {1, 2}});
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.in_degree(1), 1u);
+}
+
+// The CSR the constructor must reproduce, built the obvious way: sort all
+// edges by (from, to), drop duplicates, then count rows.
+struct ReferenceCsr {
+  std::vector<std::size_t> offsets;
+  std::vector<std::uint32_t> targets;
+  std::vector<std::size_t> in_degree;
+};
+
+ReferenceCsr reference_csr(std::uint32_t n, std::vector<Edge> edges) {
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.from != b.from ? a.from < b.from : a.to < b.to;
+  });
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  ReferenceCsr ref{std::vector<std::size_t>(n + 1, 0), {},
+                   std::vector<std::size_t>(n, 0)};
+  for (const Edge& e : edges) {
+    ++ref.offsets[e.from + 1];
+    ref.targets.push_back(e.to);
+    ++ref.in_degree[e.to];
+  }
+  for (std::size_t u = 1; u <= n; ++u) ref.offsets[u] += ref.offsets[u - 1];
+  return ref;
+}
+
+void expect_matches_reference(std::uint32_t n, const std::vector<Edge>& edges,
+                              const char* what) {
+  const ReferenceCsr ref = reference_csr(n, edges);
+  const Graph g(n, edges);
+  ASSERT_EQ(g.num_nodes(), n) << what;
+  ASSERT_EQ(g.num_edges(), ref.targets.size()) << what;
+  for (std::uint32_t u = 0; u < n; ++u) {
+    const auto got = g.out_neighbors(u);
+    const std::span<const std::uint32_t> want(
+        ref.targets.data() + ref.offsets[u],
+        ref.offsets[u + 1] - ref.offsets[u]);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << what << ": row " << u;
+    ASSERT_EQ(g.in_degree(u), ref.in_degree[u]) << what << ": node " << u;
+  }
+}
+
+TEST(Graph, CsrMatchesSortUniqueReference) {
+  expect_matches_reference(0, {}, "n=0");
+  expect_matches_reference(1, {}, "n=1");
+
+  // Random edge lists: endpoints drawn from a prefix of the nodes (the
+  // rest are isolated), few enough distinct pairs that duplicates are
+  // common, rows arriving in random order.
+  rng::Rng rng(31);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto n = static_cast<std::uint32_t>(2 + rng.uniform_index(300));
+    const auto used = static_cast<std::uint32_t>(2 + rng.uniform_index(n - 1));
+    const std::size_t m = rng.uniform_index(6 * used);
+    std::vector<Edge> edges;
+    while (edges.size() < m) {
+      const auto u = static_cast<std::uint32_t>(rng.uniform_index(used));
+      const auto v = static_cast<std::uint32_t>(rng.uniform_index(used));
+      if (u != v) edges.push_back({u, v});
+    }
+    expect_matches_reference(n, edges, "random");
+  }
+
+  // Generator-shaped lists at pinned seeds: the generator's own edges as
+  // emitted (rows in order), shuffled, and shuffled with every edge doubled.
+  rng::Rng g1(41), g2(42), g3(43), g4(44);
+  const Graph generated[] = {
+      barabasi_albert(3000, 3, g1), erdos_renyi(500, 0.02, g2),
+      watts_strogatz(2000, 6, 0.3, g3), configuration_model(2000, 2.0, 100, g4),
+      star(300), path(300), complete(20)};
+  rng::Rng shuffler(45);
+  for (const Graph& gen : generated) {
+    std::vector<Edge> edges = gen.edges();
+    expect_matches_reference(gen.num_nodes(), edges, "generator order");
+    shuffler.shuffle(std::span<Edge>(edges));
+    expect_matches_reference(gen.num_nodes(), edges, "shuffled");
+    const std::size_t once = edges.size();
+    for (std::size_t i = 0; i < once; ++i) edges.push_back(edges[i]);
+    shuffler.shuffle(std::span<Edge>(edges));
+    expect_matches_reference(gen.num_nodes(), edges, "doubled");
+    EXPECT_EQ(Graph(gen.num_nodes(), edges).edges(), gen.edges());
+  }
 }
 
 TEST(Graph, RejectsSelfLoopsAndOutOfRange) {
@@ -96,6 +183,13 @@ TEST(Generators, ErdosRenyiExtremes) {
   rng::Rng rng(4);
   EXPECT_EQ(erdos_renyi(50, 0.0, rng).num_edges(), 0u);
   EXPECT_EQ(erdos_renyi(20, 1.0, rng).num_edges(), 20u * 19u);
+}
+
+TEST(Generators, ErdosRenyiTinyPSkipsPastTheEnd) {
+  // The first geometric skip is ~1e25 pairs: it must end the draw loop as
+  // a double, before any conversion to an integer index.
+  rng::Rng rng(46);
+  EXPECT_EQ(erdos_renyi(1000, 1e-25, rng).num_edges(), 0u);
 }
 
 TEST(Generators, WattsStrogatzUnrewiredIsRegularRing) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -136,6 +138,57 @@ TEST(Runner, InstanceIsDeterministic) {
   EXPECT_EQ(a.tree.parents(), b.tree.parents());
   EXPECT_EQ(a.mechanism_seed, b.mechanism_seed);
   EXPECT_EQ(a.job.demand_vector(), b.job.demand_vector());
+}
+
+// FNV-1a over the little-endian bytes of every tree parent and every ask
+// field (the value by its bit pattern), so any moved byte of an instance
+// changes the digest.
+std::uint64_t instance_digest(const TrialInstance& inst) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::uint32_t p : inst.tree.parents()) mix(p, 4);
+  for (const core::Ask& a : inst.population.truthful_asks) {
+    mix(a.type.value, 4);
+    mix(a.quantity, 4);
+    mix(std::bit_cast<std::uint64_t>(a.value), 8);
+  }
+  return h;
+}
+
+TEST(Runner, InstanceBytesArePinned) {
+  // Instance generation may get faster but must keep producing these exact
+  // trees and asks (at any intra_threads); a changed digest is an
+  // RNG-stream change and needs a version bump, not a new constant.
+  struct Pinned {
+    GraphKind graph;
+    std::uint32_t users;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {GraphKind::kBarabasiAlbert, 50000, 0x500530ebf1eef627ULL},
+      {GraphKind::kWattsStrogatz, 20000, 0x1e3bfc1a922eb917ULL},
+      {GraphKind::kConfigurationModel, 20000, 0x7c6c45426c483410ULL},
+  };
+  for (const Pinned& p : pinned) {
+    Scenario s;
+    s.graph = p.graph;
+    s.num_users = p.users;
+    s.seed = 20170605;
+    for (unsigned threads : {1u, 2u}) {
+      s.intra_threads = threads;
+      const TrialInstance inst = make_instance(s, 0);
+      ASSERT_EQ(inst.tree.num_participants(), p.users);
+      EXPECT_EQ(instance_digest(inst), p.digest)
+          << to_string(p.graph) << " n=" << p.users
+          << " intra_threads=" << threads << std::hex << " digest=0x"
+          << instance_digest(inst);
+    }
+  }
 }
 
 TEST(Runner, DifferentTrialsDiffer) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/check.h"
 #include "graph/generators.h"
@@ -196,6 +197,118 @@ TEST(Builders, SpanningForestCoversBaGraph) {
   EXPECT_EQ(res.tree.num_participants(), 1000u);
   // A scale-free graph explored from the seed clique should be shallow.
   EXPECT_LT(res.tree.max_depth(), 30u);
+}
+
+// The forest build_spanning_forest must reproduce: plain BFS waves, each
+// scanned in ascending inviter id and std::sort-ed before it joins.
+struct NaiveForest {
+  std::vector<std::uint32_t> join_order;
+  std::vector<std::uint32_t> inviter;  // kNoInviter if not joined / a seed
+  std::size_t widest_wave{0};
+};
+constexpr std::uint32_t kNoInviter = 0xffffffffu;
+
+NaiveForest naive_bfs_forest(const graph::Graph& g,
+                             const SpanningForestOptions& opts) {
+  const std::uint32_t n = g.num_nodes();
+  const std::uint32_t cap = opts.max_users.value_or(n);
+  NaiveForest f;
+  f.inviter.assign(n, kNoInviter);
+  std::vector<bool> claimed(n, false);
+  std::vector<std::uint32_t> wave;
+  for (std::uint32_t s : opts.seeds) {
+    if (!claimed[s]) wave.push_back(s);
+    claimed[s] = true;
+  }
+  std::sort(wave.begin(), wave.end());
+  wave.resize(std::min<std::size_t>(wave.size(), cap));
+  f.join_order = wave;
+  while (!wave.empty() && f.join_order.size() < cap) {
+    std::vector<std::uint32_t> next;
+    for (std::uint32_t u : wave) {
+      for (std::uint32_t v : g.out_neighbors(u)) {
+        if (claimed[v]) continue;
+        claimed[v] = true;
+        f.inviter[v] = u;
+        next.push_back(v);
+      }
+    }
+    std::sort(next.begin(), next.end());
+    f.widest_wave = std::max(f.widest_wave, next.size());
+    const std::size_t room = cap - f.join_order.size();
+    for (std::size_t k = room; k < next.size(); ++k) {
+      claimed[next[k]] = false;
+      f.inviter[next[k]] = kNoInviter;
+    }
+    next.resize(std::min(next.size(), room));
+    f.join_order.insert(f.join_order.end(), next.begin(), next.end());
+    wave = std::move(next);
+  }
+  if (opts.attach_unreached_to_root) {
+    for (std::uint32_t u = 0; u < n && f.join_order.size() < cap; ++u) {
+      if (!claimed[u]) f.join_order.push_back(u);
+    }
+  }
+  return f;
+}
+
+void expect_forest_matches_naive(const graph::Graph& g,
+                                 SpanningForestOptions opts,
+                                 std::size_t min_widest_wave,
+                                 const char* what) {
+  const NaiveForest want = naive_bfs_forest(g, opts);
+  ASSERT_GE(want.widest_wave, min_widest_wave) << what;
+  for (unsigned threads : {1u, 2u}) {
+    opts.threads = threads;
+    const SpanningForestResult got = build_spanning_forest(g, opts);
+    ASSERT_EQ(got.tree.num_participants(), want.join_order.size()) << what;
+    for (std::uint32_t i = 0; i < want.join_order.size(); ++i) {
+      const std::uint32_t u = want.join_order[i];
+      const std::uint32_t node = node_of_participant(i);
+      ASSERT_EQ(got.graph_of[node], u) << what << ": participant " << i;
+      const std::uint32_t parent =
+          want.inviter[u] == kNoInviter ? 0 : got.node_of[want.inviter[u]];
+      ASSERT_EQ(got.tree.parent(node), parent) << what << ": node " << u;
+    }
+    std::vector<bool> joined(g.num_nodes(), false);
+    for (std::uint32_t u : want.join_order) joined[u] = true;
+    EXPECT_EQ(got.joined, joined) << what;
+  }
+}
+
+TEST(Builders, SpanningForestMatchesNaiveBfs) {
+  constexpr std::size_t kRadixWave = 4096;  // builders.cpp's radix cutoff
+  rng::Rng ba_rng(51);
+  const graph::Graph ba = graph::barabasi_albert(30000, 3, ba_rng);
+  SpanningForestOptions opts;
+  opts.seeds = {4, 0, 2, 2, 1};
+  opts.attach_unreached_to_root = true;
+  expect_forest_matches_naive(ba, opts, kRadixWave, "ba");
+
+  // The cap cuts a radix-sorted wave part-way through.
+  SpanningForestOptions capped = opts;
+  capped.max_users = 12000;
+  capped.attach_unreached_to_root = false;
+  expect_forest_matches_naive(ba, capped, kRadixWave, "ba capped");
+
+  // Ids above 2^16, so the radix sort's high-half pass does real work.
+  rng::Rng wide_rng(53);
+  const graph::Graph wide = graph::barabasi_albert(100000, 2, wide_rng);
+  expect_forest_matches_naive(wide, opts, kRadixWave, "ba 100k");
+
+  rng::Rng ws_rng(52);
+  const graph::Graph ws = graph::watts_strogatz(20000, 6, 0.1, ws_rng);
+  SpanningForestOptions ws_opts;
+  ws_opts.seeds = {0, 1, 2};
+  ws_opts.attach_unreached_to_root = true;
+  expect_forest_matches_naive(ws, ws_opts, 1, "ws");
+
+  SpanningForestOptions one_seed;
+  one_seed.seeds = {0};
+  one_seed.attach_unreached_to_root = true;
+  expect_forest_matches_naive(graph::path(3000), one_seed, 1, "path");
+  expect_forest_matches_naive(graph::star(10000), one_seed, kRadixWave,
+                              "star");
 }
 
 TEST(Render, AsciiShowsStructure) {
