@@ -92,28 +92,36 @@ void BM_ConsensusRoundDown(benchmark::State& state) {
 }
 BENCHMARK(BM_ConsensusRoundDown);
 
-// Baseline vs workspace arms of the CRA round: identical draws and results
-// (cra_test pins that); the heap_allocs_per_round counter is the point.
-// The baseline's convenience overload rebuilds its order/chosen/sampling
-// buffers every round; the workspace arm reuses them and must report ~0 at
-// steady state.
+// Baseline vs workspace arms of the CRA round on a unit book (every run
+// one ask): identical draws and results (cra_test pins that); the
+// heap_allocs_per_round counter is the point. The baseline builds a fresh
+// workspace every round, so its order/sampling buffers are reallocated;
+// the workspace arm reuses them and must report ~0 at steady state.
+double heap_allocs_per_iteration(const benchmark::State& state,
+                                 std::uint64_t before) {
+  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  return state.iterations() > 0 ? static_cast<double>(after - before) /
+                                      static_cast<double>(state.iterations())
+                                : 0.0;
+}
+
 void BM_CraRoundBaseline(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto asks = make_asks(n, 2);
+  const std::vector<std::uint32_t> counts(n, 1);
   rng::Rng rng(3);
   core::CraParams params;
   params.q = static_cast<std::uint32_t>(n / 8 + 1);
   params.m_i = static_cast<std::uint32_t>(n / 8 + 1);
+  core::CraOutcome out;
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_cra(asks, params, rng));
+    core::CraWorkspace ws;
+    core::run_cra(asks, counts, params, rng, ws, out);
+    benchmark::DoNotOptimize(out.num_winners);
   }
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_round"] = benchmark::Counter(
-      state.iterations() > 0
-          ? static_cast<double>(after - before) /
-                static_cast<double>(state.iterations())
-          : 0.0);
+  state.counters["heap_allocs_per_round"] =
+      benchmark::Counter(heap_allocs_per_iteration(state, before));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
@@ -122,6 +130,7 @@ BENCHMARK(BM_CraRoundBaseline)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_CraRoundWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto asks = make_asks(n, 2);
+  const std::vector<std::uint32_t> counts(n, 1);
   rng::Rng rng(3);
   core::CraParams params;
   params.q = static_cast<std::uint32_t>(n / 8 + 1);
@@ -130,22 +139,57 @@ void BM_CraRoundWorkspace(benchmark::State& state) {
   core::CraOutcome out;
   // One warm-up round grows every scratch buffer to its high-water mark;
   // from then on the hot path must not touch the heap.
-  core::run_cra(asks, params, rng, ws, out);
+  core::run_cra(asks, counts, params, rng, ws, out);
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    core::run_cra(asks, params, rng, ws, out);
+    core::run_cra(asks, counts, params, rng, ws, out);
     benchmark::DoNotOptimize(out.num_winners);
   }
-  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
-  state.counters["heap_allocs_per_round"] = benchmark::Counter(
-      state.iterations() > 0
-          ? static_cast<double>(after - before) /
-                static_cast<double>(state.iterations())
-          : 0.0);
+  state.counters["heap_allocs_per_round"] =
+      benchmark::Counter(heap_allocs_per_iteration(state, before));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_CraRoundWorkspace)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// One CRA round at trial_1m's per-type shape: 100k users with
+// k ~ U{1..20} and q = m_i = 5000. Arg 0 reads the users as runs; arg 1
+// is the same market as a unit book (~1.05M runs of one ask each), so the
+// pair shows what the run-length form saves.
+void BM_CraRoundRuns(benchmark::State& state) {
+  constexpr std::size_t kUsers = 100000;
+  rng::Rng setup(11);
+  std::vector<double> values;
+  std::vector<std::uint32_t> counts;
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    const double v = setup.uniform_real_left_open(0.0, 10.0);
+    const auto k = static_cast<std::uint32_t>(setup.uniform_int(1, 20));
+    if (state.range(0) == 0) {
+      values.push_back(v);
+      counts.push_back(k);
+    } else {
+      values.insert(values.end(), k, v);
+      counts.insert(counts.end(), k, 1);
+    }
+  }
+  state.SetLabel(state.range(0) == 0 ? "runs" : "units");
+  rng::Rng rng(12);
+  core::CraParams params;
+  params.q = 5000;
+  params.m_i = 5000;
+  core::CraWorkspace ws;
+  core::CraOutcome out;
+  core::run_cra(values, counts, params, rng, ws, out);
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    core::run_cra(values, counts, params, rng, ws, out);
+    benchmark::DoNotOptimize(out.num_winners);
+  }
+  state.counters["heap_allocs_per_round"] =
+      benchmark::Counter(heap_allocs_per_iteration(state, before));
+  state.counters["runs"] = static_cast<double>(values.size());
+}
+BENCHMARK(BM_CraRoundRuns)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_Extract(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

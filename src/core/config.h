@@ -18,7 +18,9 @@ namespace rit::core {
 /// artifacts of an older stream are refused instead of silently mixed.
 ///   1: CRA phase 2 tie-shuffled the whole unit book.
 ///   2: CRA phase 2 orders and tie-shuffles only the asks <= its threshold.
-inline constexpr std::uint32_t kMechanismStreamVersion = 2;
+///   3: CRA reads run books: both Bernoulli passes draw geometric gaps, and
+///      a tie group of one user's units is not shuffled.
+inline constexpr std::uint32_t kMechanismStreamVersion = 3;
 
 /// What CRA does when its Bernoulli(1/(q+m_i)) sample S comes back empty
 /// (Alg. 1 line 2 leaves s = min S undefined in that case).

@@ -20,6 +20,14 @@
 // Winners are each allocated one task and paid the clearing price; losers
 // get nothing. The clearing price is >= every winning ask value, which
 // gives per-round individual rationality (Lemma 6.1).
+//
+// The round reads its asks as runs (one user's k'_j equal unit asks) and
+// never expands them: both Bernoulli passes (steps 1 and 3) jump from
+// success to success with geometric gaps, and the units of one run are
+// never shuffled among themselves, since any permutation of one owner's
+// equal units leaves the owner sequence unchanged. Per-owner allocations
+// and prices keep exactly the distribution of the unit-by-unit round
+// (docs/ALGORITHMS.md, mechanism stream 3).
 #pragma once
 
 #include <cstdint>
@@ -50,18 +58,38 @@ struct CraParams {
   double consensus_grid_base = 2.0;
 };
 
+/// A run of unit asks, or a slice of one: `units` unit asks of run `run`
+/// (an index into the round's run book).
+struct RunSlice {
+  std::uint32_t run{0};
+  std::uint32_t units{0};
+
+  friend bool operator==(const RunSlice&, const RunSlice&) = default;
+};
+
+/// A run keyed by its value, so ordering runs reads contiguous keys.
+struct RunKey {
+  double value{0.0};
+  std::uint32_t run{0};
+};
+
 struct CraOutcome {
-  /// won[w]: whether unit ask w was allocated one task this round.
-  std::vector<bool> won;
-  /// Payment per winning ask (the paper's s; 0 when there are no winners).
+  /// The winning units as run slices, in ascending-value order; every
+  /// winning unit is allocated one task. At most q entries, whatever the
+  /// book's size. A run appears more than once only when a tie group's
+  /// shuffle split its units; its units then add up.
+  std::vector<RunSlice> winners;
+  /// Payment per winning unit ask (the paper's s; 0 when there are no
+  /// winners).
   double clearing_price{0.0};
+  /// Sum of winners[*].units.
   std::uint32_t num_winners{0};
 
   // --- diagnostics (tests and the ablation benches read these) ---
   /// Threshold drawn in step 1; the largest ask value when the sample was
   /// empty under EmptySamplePolicy::kAllAsks.
   double sample_min{0.0};
-  /// Raw count of asks <= sample_min (the paper's z_s(alpha)).
+  /// Raw count of unit asks <= sample_min (the paper's z_s(alpha)).
   std::uint64_t raw_count{0};
   /// Consensus-rounded count (the paper's n_s).
   std::uint64_t consensus_count{0};
@@ -70,30 +98,33 @@ struct CraOutcome {
 };
 
 /// Reusable scratch for run_cra. RIT runs one CRA round per type per
-/// round-budget step, and a sweep runs millions of rounds; without reuse
-/// every round rebuilds the `order` vector (plus the Fisher-Yates sampling
-/// pool) on the heap. Keep one workspace per thread and pass it to every
-/// round: at steady state (buffers grown to the population size) a round
-/// performs no heap allocation. Contents are scratch only — nothing in
-/// here carries state between rounds.
+/// round-budget step, and a sweep runs millions of rounds; keep one
+/// workspace per thread and pass it to every round: at steady state
+/// (buffers grown to the largest run book) a round performs no heap
+/// allocation. Contents are scratch only — nothing in here carries state
+/// between rounds.
 struct CraWorkspace {
-  /// The asks at or below the round's threshold in tie-shuffled ascending
-  /// order; steps 3-5 narrow the potential winners to a prefix of it.
-  std::vector<std::uint32_t> order;
+  /// The runs at or below the round's threshold, in ascending
+  /// (value, run) order.
+  std::vector<RunKey> runs;
+  /// Those runs' units in tie-shuffled ascending order, as slices; steps
+  /// 3-5 narrow the potential winners to a prefix of it.
+  std::vector<RunSlice> order;
   std::vector<std::size_t> sample_pool;
   std::vector<std::size_t> sample_out;
+  /// picked[p]: whether step 5 drew potential winner p.
+  std::vector<std::uint8_t> picked;
 };
 
-/// Runs one CRA round over the unit-ask values `asks` (the alpha vector
-/// produced by Extract). Deterministic given `rng` state.
-CraOutcome run_cra(std::span<const double> asks, const CraParams& params,
-                   rng::Rng& rng);
-
-/// Allocation-free form: identical draws and outcome, but all scratch lives
-/// in `ws` and the outcome is written into `out` (whose `won` vector is
-/// reused). The convenience overload above delegates to this with a fresh
-/// workspace.
-void run_cra(std::span<const double> asks, const CraParams& params,
+/// Runs one CRA round over a run book: run r stands for counts[r] unit
+/// asks of value values[r] and one owner, in the unit order of Extract
+/// (Alg. 2) with runs laid out in index order. Runs with count 0 hold no
+/// asks. A unit book is a run book with every count 1. The round costs
+/// O(runs + r log r + q + m_i) for r runs at or below the threshold, plus
+/// the units of runs tied at one value, never O(units). Deterministic given `rng` state; scratch lives in `ws` and the
+/// outcome is written into `out` (whose vectors are reused).
+void run_cra(std::span<const double> values,
+             std::span<const std::uint32_t> counts, const CraParams& params,
              rng::Rng& rng, CraWorkspace& ws, CraOutcome& out);
 
 /// The consensus rounding of Lemma 6.2 in isolation: the largest value

@@ -1,6 +1,8 @@
 // Extract (Algorithm 2): flattens per-user asks (t_j, k_j, a_j) into the
 // unit-ask vector alpha for one task type, remembering the owner map
-// lambda(w) = j.
+// lambda(w) = j. The mechanism itself reads the same asks as runs
+// (AskTypeIndex) and never materializes alpha; extract() stays for the
+// baselines and the efficiency reference, which want plain unit vectors.
 #pragma once
 
 #include <cstdint>
@@ -25,32 +27,24 @@ struct ExtractedAsks {
 /// asks[j].type == type.
 ExtractedAsks extract(TaskType type, std::span<const Ask> asks);
 
-/// The form RIT's multi-round loop needs: expands ask j into
-/// remaining_quantity[j] unit asks (the paper's k'_j, i.e. capability not
-/// yet consumed by earlier CRA rounds). remaining_quantity must be
-/// elementwise <= the asked quantity.
-ExtractedAsks extract_remaining(TaskType type, std::span<const Ask> asks,
-                                std::span<const std::uint32_t> remaining_quantity);
-
-/// Scratch-reusing form of extract_remaining: clears and refills `out`
-/// without releasing its buffers, so the per-round expansion in RIT's
-/// auction loop stops allocating once `out` has grown to the market size
-/// (keep one per thread — core::RitWorkspace does).
-void extract_remaining_into(TaskType type, std::span<const Ask> asks,
-                            std::span<const std::uint32_t> remaining_quantity,
-                            ExtractedAsks& out);
-
-/// Per-type CSR over one ask vector, built once per auction so the
-/// multi-round loop can expand type tau_i by scanning only tau_i's askers
-/// instead of all N asks every round (the seed path's O(N * rounds * types)
-/// term, which dominates at millions of users). Within a type the users
-/// stay in ascending index order, so expansions are byte-identical to the
-/// full-scan path. build() reuses capacity across auctions.
+/// Alg. 2 as a run view, the form RIT's multi-round loop reads: a per-type
+/// CSR over one ask vector, built once per auction. Each slot is one run
+/// (user, value, remaining) that stands for `remaining` unit asks of equal
+/// value and owner, the paper's k'_j copies of a_j. A CRA round reads a
+/// type's slots as its run book and never expands units, and winners
+/// decrement `remaining` in place, so later rounds see only capability not
+/// yet consumed. Within a type the users stay in ascending index order, so
+/// expanding the runs in slot order gives exactly extract()'s unit order.
+/// build() reuses capacity across auctions.
 struct AskTypeIndex {
-  std::vector<std::uint32_t> offsets;   ///< per type: [offsets[t], offsets[t+1])
-  std::vector<std::uint32_t> user;      ///< flat ask indices, ascending per type
-  std::vector<double> value;            ///< value[i] = asks[user[i]].value
-  std::vector<std::uint32_t> quantity;  ///< quantity[i] = asks[user[i]].quantity
+  /// Per type t: slots [offsets[t], offsets[t+1]).
+  std::vector<std::uint32_t> offsets;
+  /// Flat ask indices, ascending within a type.
+  std::vector<std::uint32_t> user;
+  /// value[i] = asks[user[i]].value.
+  std::vector<double> value;
+  /// k'_j: starts at asks[user[i]].quantity, winners consume it.
+  std::vector<std::uint32_t> remaining;
 
   std::uint32_t num_types() const {
     return offsets.empty() ? 0 : static_cast<std::uint32_t>(offsets.size() - 1);
@@ -59,11 +53,5 @@ struct AskTypeIndex {
   /// validate_asks first).
   void build(std::uint32_t num_types, std::span<const Ask> asks);
 };
-
-/// extract_remaining_into over the index: same output as the span form for
-/// the indexed ask vector, touching only `type`'s group.
-void extract_remaining_into(TaskType type, const AskTypeIndex& index,
-                            std::span<const std::uint32_t> remaining_quantity,
-                            ExtractedAsks& out);
 
 }  // namespace rit::core

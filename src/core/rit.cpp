@@ -114,14 +114,10 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
   const std::uint32_t m = std::max<std::uint32_t>(job.num_demanded_types(), 1);
   res.eta = std::pow(config.h, 1.0 / static_cast<double>(m));
 
-  // k'_j: capability not yet consumed by earlier rounds.
-  std::vector<std::uint32_t>& remaining = ws.remaining;
-  remaining.resize(n);
-  for (std::uint32_t j = 0; j < n; ++j) remaining[j] = asks[j].quantity;
-
-  // One per-type CSR build up front; each round then expands only its own
-  // type's askers instead of rescanning all N asks.
-  ws.type_index.build(job.num_types(), asks);
+  // One per-type run book up front: slot i of type t stands for user
+  // index.user[i]'s k'_j = index.remaining[i] unconsumed unit asks.
+  AskTypeIndex& index = ws.type_index;
+  index.build(job.num_types(), asks);
 
   bool all_allocated = true;
   for (std::uint32_t ti = 0; ti < job.num_types(); ++ti) {
@@ -133,6 +129,14 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
     info.budget = compute_round_budget(m_i, res.k_max, res.eta, config);
     res.probability_degraded |= info.budget.degraded;
 
+    const std::uint32_t begin = index.offsets[ti];
+    const std::size_t runs = index.offsets[ti + 1] - begin;
+    const std::span<const double> values(index.value.data() + begin, runs);
+    const std::span<std::uint32_t> remaining(index.remaining.data() + begin,
+                                             runs);
+    std::uint64_t units_left = 0;
+    for (const std::uint32_t k : remaining) units_left += k;
+
     const bool to_completion =
         config.round_budget_policy == RoundBudgetPolicy::kRunToCompletion;
     std::uint32_t q = m_i;
@@ -140,30 +144,26 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
     while (q > 0) {
       if (!to_completion && info.rounds_used >= info.budget.max_rounds) break;
       if (to_completion && stalled >= config.stall_round_limit) break;
-      ExtractedAsks& alpha = ws.alpha;
-      {
-        RIT_TRACE_SPAN("rit.extract");
-        extract_remaining_into(type, ws.type_index, remaining, alpha);
-      }
-      if (alpha.empty()) break;  // nobody left who can serve this type
+      if (units_left == 0) break;  // nobody left who can serve this type
       CraParams params;
       params.q = q;
       params.m_i = m_i;
       params.empty_sample = config.empty_sample;
       params.price_mode = config.price_mode;
       params.consensus_grid_base = config.consensus_log_base;
-      run_cra(alpha.values, params, rng, ws.cra, ws.round);
+      run_cra(values, remaining, params, rng, ws.cra, ws.round);
       const CraOutcome& round = ws.round;
-      for (std::size_t w = 0; w < alpha.size(); ++w) {
-        if (!round.won[w]) continue;
-        const std::uint32_t owner = alpha.owner[w];
-        res.allocation[owner] += 1;
-        res.auction_payment[owner] += round.clearing_price;
-        RIT_DCHECK(remaining[owner] > 0);
-        remaining[owner] -= 1;
-        RIT_DCHECK(q > 0);
-        q -= 1;
+      for (const RunSlice& w : round.winners) {
+        const std::uint32_t owner = index.user[begin + w.run];
+        res.allocation[owner] += w.units;
+        res.auction_payment[owner] +=
+            static_cast<double>(w.units) * round.clearing_price;
+        RIT_DCHECK(remaining[w.run] >= w.units);
+        remaining[w.run] -= w.units;
       }
+      RIT_DCHECK(q >= round.num_winners);
+      q -= round.num_winners;
+      units_left -= round.num_winners;
       if (config.record_round_trace) {
         info.rounds.push_back(RoundTrace{
             info.rounds_used, round.clearing_price, round.num_winners,

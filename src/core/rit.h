@@ -118,19 +118,18 @@ struct RitResult {
 
 /// Reusable scratch for run_rit / run_auction_phase. One mechanism run
 /// executes many CRA rounds, and a sweep executes many mechanism runs;
-/// keeping one workspace per thread means the per-round buffers (extract's
-/// alpha vector, CRA's order/chosen scratch, the remaining-quantity vector)
-/// are heap-allocated once and then reused at their high-water capacity.
-/// Contents are scratch only — nothing carries state between runs.
+/// keeping one workspace per thread means the per-round buffers (the run
+/// book, CRA's order and sampling scratch) are heap-allocated once and
+/// then reused at their high-water capacity. Contents are scratch only —
+/// nothing carries state between runs.
 struct RitWorkspace {
   CraWorkspace cra;
   CraOutcome round;
-  ExtractedAsks alpha;
-  /// Per-type CSR over the ask vector, rebuilt once per auction so each
-  /// round's extraction touches only its own type's askers.
+  /// Per-type run book over the ask vector, rebuilt once per auction; each
+  /// round reads only its own type's runs, and winners consume their
+  /// `remaining` units in place.
   AskTypeIndex type_index;
   PaymentWorkspace payment;
-  std::vector<std::uint32_t> remaining;
   std::vector<TaskType> types;
 };
 

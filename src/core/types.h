@@ -55,10 +55,10 @@ class Job {
   std::uint32_t demanded_types_{0};
 };
 
-/// Upper bound on a single ask's claimed quantity. Extract materializes one
-/// unit ask per claimed task, so an unvalidated 4-billion-unit claim would
-/// be a memory-exhaustion attack on the platform; no phone completes a
-/// million sensing tasks in one job either.
+/// Upper bound on a single ask's claimed quantity: no phone completes a
+/// million sensing tasks in one job. The mechanism reads an ask as one run
+/// and never materializes its units, but the baselines' extract() does,
+/// and per-type unit totals must stay far from 64-bit overflow.
 inline constexpr std::uint32_t kMaxAskQuantity = 1'000'000;
 
 /// Validates an ask vector against a job: every ask references a type the

@@ -71,23 +71,13 @@ Graph erdos_renyi(std::uint32_t num_nodes, double p, rng::Rng& rng) {
     // jumps: skip ~Geom(p) pairs between successive edges.
     const std::uint64_t total =
         static_cast<std::uint64_t>(num_nodes) * (num_nodes - 1);
-    std::uint64_t idx = 0;
-    const double log1mp = std::log1p(-p);
-    while (true) {
-      if (p < 1.0) {
-        double u = 1.0 - rng.uniform01();  // (0,1]
-        // Compare as a double first: with a tiny p the skip can exceed
-        // 2^64, and casting that to an integer is undefined.
-        const double skip = std::floor(std::log(u) / log1mp);
-        if (skip >= static_cast<double>(total - idx)) break;
-        idx += static_cast<std::uint64_t>(skip);
-      }
-      if (idx >= total) break;
+    const rng::GeometricGaps gaps(p);
+    for (std::uint64_t idx = gaps.next(rng, 0, total); idx < total;
+         idx = gaps.next(rng, idx + 1, total)) {
       const std::uint32_t from = static_cast<std::uint32_t>(idx / (num_nodes - 1));
       std::uint32_t to = static_cast<std::uint32_t>(idx % (num_nodes - 1));
       if (to >= from) ++to;  // skip the diagonal
       edges.push_back({from, to});
-      ++idx;
     }
   }
   return Graph(num_nodes, std::move(edges));

@@ -79,4 +79,19 @@ void Rng::sample_without_replacement_into(std::size_t n, std::size_t k,
   }
 }
 
+GeometricGaps::GeometricGaps(double p) : p_(p), log1m_p_(std::log1p(-p)) {
+  RIT_CHECK_MSG(p >= 0.0 && p <= 1.0,
+                "success probability " << p << " outside [0,1]");
+}
+
+std::uint64_t GeometricGaps::next(Rng& rng, std::uint64_t from,
+                                  std::uint64_t end) const {
+  if (p_ <= 0.0) return end;
+  if (p_ >= 1.0) return std::min(from, end);
+  const double u = 1.0 - rng.uniform01();  // (0, 1]
+  const double gap = std::floor(std::log(u) / log1m_p_);
+  if (from >= end || gap >= static_cast<double>(end - from)) return end;
+  return from + static_cast<std::uint64_t>(gap);
+}
+
 }  // namespace rit::rng

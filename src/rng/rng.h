@@ -96,4 +96,28 @@ class Rng {
   std::uint64_t seed_;
 };
 
+/// Skip sampling of i.i.d. Bernoulli(p) trials over positions 0, 1, 2, ...:
+/// instead of one draw per position, one draw per success jumps straight to
+/// the next one. The gap before a success is Geometric(p) (failures before
+/// the first success), drawn by inversion as floor(log(U) / log(1 - p)) with
+/// U in (0, 1], so the positions it yields are distributed exactly as the
+/// successes of a per-position Bernoulli(p) pass.
+class GeometricGaps {
+ public:
+  /// p must lie in [0, 1].
+  explicit GeometricGaps(double p);
+
+  /// The first successful position in [from, end), or `end` when none is.
+  /// Consumes exactly one uniform draw per call for 0 < p < 1 (even when
+  /// from >= end) and none for p = 0 or p = 1, so how far a caller can see
+  /// (`end`) never changes the stream. The gap is compared against the
+  /// span as a double before any integer conversion: with a tiny p it can
+  /// exceed 2^64.
+  std::uint64_t next(Rng& rng, std::uint64_t from, std::uint64_t end) const;
+
+ private:
+  double p_;
+  double log1m_p_;  // log1p(-p), the inversion's denominator
+};
+
 }  // namespace rit::rng

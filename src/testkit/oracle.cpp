@@ -62,12 +62,17 @@ std::uint64_t naive_consensus_round_down(std::uint64_t count, double y,
 
 /// Ascending-value order with the ties among values <= `threshold`
 /// shuffled. std::stable_sort on the value alone reproduces production's
-/// plain sort with an index tie-break (both leave equal values in
-/// ascending index order before the shuffle). Production only orders the
-/// asks <= threshold; this sorts the whole book and stops shuffling at the
-/// threshold, so the per-run shuffles consume identical draws.
-std::vector<std::uint32_t> naive_sorted_shuffled(
-    const std::vector<double>& values, double threshold, rng::Rng& rng) {
+/// run order (value, then user index, units of a user contiguous). A tie
+/// group is shuffled only when it spans two or more users: the units of a
+/// single user share owner and value, so shuffling them could not change
+/// the outcome, and production does not draw for them. Production only
+/// orders the asks <= threshold; this sorts the whole book and stops
+/// shuffling at the threshold, so the per-run shuffles consume identical
+/// draws.
+std::vector<std::uint32_t> naive_sorted_shuffled(const NaiveAlpha& alpha,
+                                                 double threshold,
+                                                 rng::Rng& rng) {
+  const std::vector<double>& values = alpha.values;
   std::vector<std::uint32_t> order(values.size());
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(),
@@ -77,8 +82,14 @@ std::vector<std::uint32_t> naive_sorted_shuffled(
   for (std::size_t i = 0; i < order.size();) {
     if (values[order[i]] > threshold) break;
     std::size_t j = i + 1;
-    while (j < order.size() && values[order[j]] == values[order[i]]) ++j;
-    if (j - i > 1) rng.shuffle(std::span<std::uint32_t>(&order[i], j - i));
+    bool many_owners = false;
+    while (j < order.size() && values[order[j]] == values[order[i]]) {
+      many_owners |= alpha.owner[order[j]] != alpha.owner[order[i]];
+      ++j;
+    }
+    if (many_owners) {
+      rng.shuffle(std::span<std::uint32_t>(&order[i], j - i));
+    }
     i = j;
   }
   return order;
@@ -90,9 +101,12 @@ struct NaiveRound {
   std::uint32_t num_winners{0};
 };
 
-/// Alg. 1, step by step, drawing from `rng` in production's order.
-NaiveRound naive_cra(const std::vector<double>& values,
-                     const CraParams& params, rng::Rng& rng) {
+/// Alg. 1, step by step, drawing from `rng` in production's order. Both
+/// Bernoulli passes visit unit positions through the same geometric-gap
+/// draw production uses.
+NaiveRound naive_cra(const NaiveAlpha& alpha, const CraParams& params,
+                     rng::Rng& rng) {
+  const std::vector<double>& values = alpha.values;
   NaiveRound out;
   out.won.assign(values.size(), false);
   if (values.empty() || params.q == 0) return out;
@@ -105,7 +119,7 @@ NaiveRound naive_cra(const std::vector<double>& values,
     std::sort(sorted.begin(), sorted.end());
     const double price = sorted[budget];
     const std::vector<std::uint32_t> order =
-        naive_sorted_shuffled(values, price, rng);
+        naive_sorted_shuffled(alpha, price, rng);
     const std::vector<std::size_t> sample =
         rng.sample_without_replacement(budget, params.q);
     for (std::size_t i : sample) out.won[order[i]] = true;
@@ -115,13 +129,14 @@ NaiveRound naive_cra(const std::vector<double>& values,
   }
 
   // Step 1: Bernoulli(1/(q+m_i)) sample, s = min sampled value.
+  const std::uint64_t n = values.size();
+  const rng::GeometricGaps sample(1.0 / static_cast<double>(budget));
   double s = std::numeric_limits<double>::infinity();
   bool sampled_any = false;
-  for (double v : values) {
-    if (rng.bernoulli(1.0 / static_cast<double>(budget))) {
-      sampled_any = true;
-      s = std::min(s, v);
-    }
+  for (std::uint64_t w = sample.next(rng, 0, n); w < n;
+       w = sample.next(rng, w + 1, n)) {
+    sampled_any = true;
+    s = std::min(s, values[w]);
   }
   if (!sampled_any) {
     if (params.empty_sample == EmptySamplePolicy::kNoWinners) return out;
@@ -138,19 +153,21 @@ NaiveRound naive_cra(const std::vector<double>& values,
       naive_consensus_round_down(raw, y, params.consensus_grid_base);
   if (n_s == 0) return out;
 
-  const std::vector<std::uint32_t> order =
-      naive_sorted_shuffled(values, s, rng);
+  const std::vector<std::uint32_t> order = naive_sorted_shuffled(alpha, s, rng);
 
-  // Step 3: potential winners in ascending-value order.
+  // Step 3: potential winners in ascending-value order. Step 4 reads at
+  // most the first budget+1 kept asks, so the keep pass stops there.
   std::vector<std::uint32_t> chosen;
   if (n_s <= budget) {
     chosen.assign(order.begin(),
                   order.begin() + static_cast<std::ptrdiff_t>(n_s));
   } else {
-    const double keep_p =
-        static_cast<double>(budget) / (2.0 * static_cast<double>(n_s));
-    for (std::uint64_t i = 0; i < n_s; ++i) {
-      if (rng.bernoulli(keep_p)) chosen.push_back(order[i]);
+    const rng::GeometricGaps keep(static_cast<double>(budget) /
+                                  (2.0 * static_cast<double>(n_s)));
+    for (std::uint64_t i = keep.next(rng, 0, n_s); i < n_s;
+         i = keep.next(rng, i + 1, n_s)) {
+      chosen.push_back(order[i]);
+      if (chosen.size() == budget + 1) break;
     }
   }
 
@@ -163,10 +180,10 @@ NaiveRound naive_cra(const std::vector<double>& values,
 
   // Step 5: if more than q survive, q winners uniformly at random.
   if (chosen.size() > params.q) {
-    const std::vector<std::size_t> sample =
+    const std::vector<std::size_t> sample_q =
         rng.sample_without_replacement(chosen.size(), params.q);
     std::vector<std::uint32_t> winners;
-    for (std::size_t i : sample) winners.push_back(chosen[i]);
+    for (std::size_t i : sample_q) winners.push_back(chosen[i]);
     chosen = winners;
   }
 
@@ -230,7 +247,7 @@ RitResult oracle_run_rit(const FuzzCase& c) {
       params.empty_sample = config.empty_sample;
       params.price_mode = config.price_mode;
       params.consensus_grid_base = config.consensus_log_base;
-      const NaiveRound round = naive_cra(alpha.values, params, rng);
+      const NaiveRound round = naive_cra(alpha, params, rng);
       for (std::size_t w = 0; w < alpha.values.size(); ++w) {
         if (!round.won[w]) continue;
         const std::uint32_t owner = alpha.owner[w];

@@ -7,14 +7,17 @@
 // std::stable_sort and finds the consensus grid point by walking the
 // exponent ladder one step at a time, and the payment determination phase
 // is the O(Σdepth) ancestor recursion over tree.descendants(). None of the
-// production shortcuts (CSR type index, prefix-sum subtree queries, depth
-// memos, workspace reuse) appear here — which is the point: a bug in any
-// of them shows up as a field mismatch.
+// production shortcuts (run books instead of unit vectors, partial sorts,
+// prefix-sum subtree queries, depth memos, workspace reuse) appear here —
+// which is the point: a bug in any of them shows up as a field mismatch.
 //
 // The one thing the oracle shares with production is the RNG draw
 // *sequence*: both consume the same rng::Rng stream in the same order
 // (that order is part of the mechanism's determinism contract), so their
-// outputs are comparable draw for draw. The round-budget formula
+// outputs are comparable draw for draw. That includes the draw primitive
+// of both Bernoulli passes (rng::GeometricGaps, walked here over unit
+// positions) and the rule that only tie groups spanning two or more users
+// are shuffled. The round-budget formula
 // (compute_round_budget) is also shared — it is closed-form double
 // arithmetic with no algorithmic shortcuts to cross-check, and sharing it
 // keeps the comparison exact.

@@ -61,31 +61,41 @@ std::string write_checkpoint(const std::string& name,
   return p.path;
 }
 
-// sweep_config_hash(pinned_options()) as computed before the stream
-// version was folded in, i.e. what a stream-1 build wrote into its
-// checkpoints for this configuration.
+// sweep_config_hash(pinned_options()) as earlier builds computed it, i.e.
+// what they wrote into their checkpoints for this configuration: before
+// the stream version was folded in (stream 1), and under stream 2 (before
+// CRA read run books), recomputed from that build's own code.
 constexpr std::uint64_t kStreamOneHash = 3426350771139262998ull;
+constexpr std::uint64_t kStreamTwoHash = 15887475420402593560ull;
 
 TEST(SweepConfigHash, DiffersFromThePreVersioningHash) {
   EXPECT_NE(sweep_config_hash(pinned_options()), kStreamOneHash);
 }
 
+TEST(SweepConfigHash, DiffersFromTheStreamTwoHash) {
+  EXPECT_NE(sweep_config_hash(pinned_options()), kStreamTwoHash);
+}
+
 TEST(SweepConfigHash, OldStreamCheckpointIsRefusedOnResume) {
-  for (const bool supervised : {false, true}) {
-    SCOPED_TRACE(supervised ? "supervised" : "in-process");
-    BenchOptions opts = pinned_options();
-    opts.supervised = supervised;
-    opts.shards = 1;
-    opts.checkpoint_path = write_checkpoint(
-        supervised ? "old_supervised" : "old_inproc", opts, kStreamOneHash);
-    opts.resume = true;
-    try {
-      run_point(opts, sim::Scenario{});
-      FAIL() << "a checkpoint of the old stream was resumed";
-    } catch (const CheckFailure& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("config hash"), std::string::npos) << what;
-      EXPECT_NE(what.find("refusing to resume"), std::string::npos) << what;
+  for (const std::uint64_t old_hash : {kStreamOneHash, kStreamTwoHash}) {
+    for (const bool supervised : {false, true}) {
+      SCOPED_TRACE(supervised ? "supervised" : "in-process");
+      SCOPED_TRACE(old_hash == kStreamOneHash ? "stream 1" : "stream 2");
+      BenchOptions opts = pinned_options();
+      opts.supervised = supervised;
+      opts.shards = 1;
+      opts.checkpoint_path = write_checkpoint(
+          supervised ? "old_supervised" : "old_inproc", opts, old_hash);
+      opts.resume = true;
+      try {
+        run_point(opts, sim::Scenario{});
+        FAIL() << "a checkpoint of an old stream was resumed";
+      } catch (const CheckFailure& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("config hash"), std::string::npos) << what;
+        EXPECT_NE(what.find("refusing to resume"), std::string::npos)
+            << what;
+      }
     }
   }
 }

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "common/check.h"
 #include "core/extract.h"
+#include "rng/rng.h"
 
 namespace rit::core {
 namespace {
@@ -46,33 +49,67 @@ TEST(Extract, EmptyAskVector) {
   EXPECT_TRUE(e.empty());
 }
 
-TEST(ExtractRemaining, UsesRemainingNotAskedQuantity) {
-  const std::vector<Ask> asks{
-      {TaskType{0}, 5, 1.5},
-      {TaskType{0}, 3, 2.5},
+// The run book is Extract in run form: expanding each type's slots in
+// order, remaining[i] copies of value[i] owned by user[i], must give
+// exactly extract()'s alpha and lambda.
+void expect_runs_expand_to_extract(const AskTypeIndex& index,
+                                   std::span<const Ask> asks) {
+  for (std::uint32_t t = 0; t < index.num_types(); ++t) {
+    ExtractedAsks expanded;
+    for (std::uint32_t i = index.offsets[t]; i < index.offsets[t + 1]; ++i) {
+      for (std::uint32_t k = 0; k < index.remaining[i]; ++k) {
+        expanded.values.push_back(index.value[i]);
+        expanded.owner.push_back(index.user[i]);
+      }
+    }
+    const ExtractedAsks want = extract(TaskType{t}, asks);
+    EXPECT_EQ(expanded.values, want.values) << "type " << t;
+    EXPECT_EQ(expanded.owner, want.owner) << "type " << t;
+  }
+}
+
+TEST(AskTypeIndex, RunsExpandToExtractOrder) {
+  const std::vector<Ask> paper{
+      {TaskType{0}, 2, 3.0},
+      {TaskType{1}, 3, 4.0},
+      {TaskType{0}, 4, 2.0},
   };
-  const std::vector<std::uint32_t> remaining{2, 0};
-  const ExtractedAsks e = extract_remaining(TaskType{0}, asks, remaining);
-  EXPECT_EQ(e.values, (std::vector<double>{1.5, 1.5}));
-  EXPECT_EQ(e.owner, (std::vector<std::uint32_t>{0, 0}));
+  AskTypeIndex index;
+  index.build(2, paper);
+  EXPECT_EQ(index.offsets, (std::vector<std::uint32_t>{0, 2, 3}));
+  EXPECT_EQ(index.user, (std::vector<std::uint32_t>{0, 2, 1}));
+  EXPECT_EQ(index.remaining, (std::vector<std::uint32_t>{2, 4, 3}));
+  expect_runs_expand_to_extract(index, paper);
+
+  rng::Rng rng(17);
+  std::vector<Ask> asks;
+  for (int j = 0; j < 300; ++j) {
+    asks.push_back({TaskType{static_cast<std::uint32_t>(rng.uniform_index(5))},
+                    static_cast<std::uint32_t>(rng.uniform_int(1, 20)),
+                    rng.uniform_real_left_open(0.0, 10.0)});
+  }
+  // Rebuilding reuses the buffers and forgets the previous book, including
+  // any units a previous auction consumed.
+  index.remaining.assign(index.remaining.size(), 0);
+  index.build(5, asks);
+  expect_runs_expand_to_extract(index, asks);
 }
 
-TEST(ExtractRemaining, ZeroRemainingEverywhereGivesEmpty) {
-  const std::vector<Ask> asks{{TaskType{0}, 5, 1.5}};
-  const std::vector<std::uint32_t> remaining{0};
-  EXPECT_TRUE(extract_remaining(TaskType{0}, asks, remaining).empty());
+TEST(AskTypeIndex, EmptyTypesHaveNoRuns) {
+  const std::vector<Ask> asks{{TaskType{2}, 5, 1.5}};
+  AskTypeIndex index;
+  index.build(4, asks);
+  EXPECT_EQ(index.num_types(), 4u);
+  EXPECT_EQ(index.offsets, (std::vector<std::uint32_t>{0, 0, 0, 1, 1}));
+  index.build(1, std::vector<Ask>{});
+  EXPECT_EQ(index.offsets, (std::vector<std::uint32_t>{0, 0}));
+  EXPECT_TRUE(index.remaining.empty());
 }
 
-TEST(ExtractRemaining, RejectsRemainingAboveAsked) {
-  const std::vector<Ask> asks{{TaskType{0}, 2, 1.0}};
-  const std::vector<std::uint32_t> remaining{3};
-  EXPECT_THROW(extract_remaining(TaskType{0}, asks, remaining), CheckFailure);
-}
-
-TEST(ExtractRemaining, RejectsSizeMismatch) {
-  const std::vector<Ask> asks{{TaskType{0}, 2, 1.0}};
-  const std::vector<std::uint32_t> remaining{1, 1};
-  EXPECT_THROW(extract_remaining(TaskType{0}, asks, remaining), CheckFailure);
+TEST(AskTypeIndex, RejectsTypeOutsideJob) {
+  const std::vector<Ask> asks{{TaskType{3}, 2, 1.0}};
+  AskTypeIndex index;
+  EXPECT_THROW(index.build(3, asks), CheckFailure);
 }
 
 TEST(Extract, PreservesSubmissionOrder) {

@@ -4,9 +4,12 @@
 #include <set>
 #include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
+#include "common/num_io.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -190,6 +193,28 @@ TEST(Generators, ErdosRenyiTinyPSkipsPastTheEnd) {
   // a double, before any conversion to an integer index.
   rng::Rng rng(46);
   EXPECT_EQ(erdos_renyi(1000, 1e-25, rng).num_edges(), 0u);
+}
+
+// FNV-1a over "from to\n" per edge, plus the next draw of the generator's
+// stream, so both the edge list and the number of draws consumed are pinned.
+std::uint64_t er_digest(std::uint32_t n, double p, std::uint64_t seed) {
+  rng::Rng rng(seed);
+  const Graph g = erdos_renyi(n, p, rng);
+  std::string text;
+  for (const Edge& e : g.edges()) {
+    text += format_u64(e.from) + " " + format_u64(e.to) + "\n";
+  }
+  text += format_u64(rng.next_u64());
+  return fnv1a64(text);
+}
+
+TEST(Generators, ErdosRenyiEdgeListIsPinned) {
+  // Recorded from the generator's own skip loop, before it moved onto
+  // rng::GeometricGaps: the shared draw must not move a single edge.
+  EXPECT_EQ(er_digest(300, 0.02, 3), 10672402753291905295ull);
+  EXPECT_EQ(er_digest(2000, 0.003, 11), 9622946537957243374ull);
+  EXPECT_EQ(er_digest(50, 0.5, 20170605), 15326367831563066858ull);
+  EXPECT_EQ(er_digest(1000, 1e-7, 46), 1276906933004702737ull);
 }
 
 TEST(Generators, WattsStrogatzUnrewiredIsRegularRing) {

@@ -9,6 +9,7 @@
 #include "obs/obs.h"
 #include "obs/perf_counters.h"
 #include "obs/trace_export.h"
+#include "sanitizers.h"
 #include "sim/chaos.h"
 #include "sim/guarded.h"
 
@@ -81,6 +82,11 @@ TEST_F(PerfFixture, AvailabilityIsConsistentWithSupportProbe) {
 }
 
 TEST_F(PerfFixture, AllocHookCountsHeapTrafficOnlyWhileArmed) {
+  if (RITCS_ASAN) {
+    GTEST_SKIP() << "ASan's runtime defines operator new itself, so the "
+                    "linker never pulls the hook's object out of "
+                    "rit_obs_alloc_hook and the hook reads absent";
+  }
   // The bench binaries (and this test) link rit_obs_alloc_hook, so the
   // availability flag must report the hook as linked.
   ASSERT_TRUE(perf_availability().alloc_hook);

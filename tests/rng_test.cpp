@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "rng/rng.h"
 #include "rng/splitmix64.h"
 #include "rng/xoshiro256.h"
+#include "stats/chi_square.h"
 
 namespace rit::rng {
 namespace {
@@ -289,6 +291,127 @@ TEST(Rng, SplitIsDeterministic) {
   Rng ca = a.split();
   Rng cb = b.split();
   for (int i = 0; i < 32; ++i) EXPECT_EQ(ca.next_u64(), cb.next_u64());
+}
+
+
+// --- GeometricGaps: skip sampling of Bernoulli(p) trials ---------------------
+
+// Runs `trials` passes of skip sampling over positions [0, len) and checks
+// them against per-position Bernoulli(p) at alpha = 0.001: the number of
+// successes per pass against the Binomial(len, p) pmf (cells pooled until
+// each expects >= 5), and the successes per position against uniform.
+void expect_bernoulli_inclusion(double p, std::uint64_t seed) {
+  constexpr std::size_t kLen = 40;
+  constexpr int kTrials = 20000;
+  Rng rng(seed);
+  const GeometricGaps gaps(p);
+  std::vector<std::uint64_t> per_pass(kLen + 1, 0);
+  std::vector<std::uint64_t> per_position(kLen, 0);
+  for (int t = 0; t < kTrials; ++t) {
+    std::size_t hits = 0;
+    for (std::uint64_t i = gaps.next(rng, 0, kLen); i < kLen;
+         i = gaps.next(rng, i + 1, kLen)) {
+      ++per_position[i];
+      ++hits;
+    }
+    ++per_pass[hits];
+  }
+  std::vector<double> pmf(kLen + 1);
+  const double len = static_cast<double>(kLen);
+  for (std::size_t k = 0; k <= kLen; ++k) {
+    const double kd = static_cast<double>(k);
+    pmf[k] = std::exp(std::lgamma(len + 1.0) - std::lgamma(kd + 1.0) -
+                      std::lgamma(len - kd + 1.0) + kd * std::log(p) +
+                      (len - kd) * std::log1p(-p));
+  }
+  std::vector<std::uint64_t> observed;
+  std::vector<double> expected;
+  std::uint64_t obs_cell = 0;
+  double exp_cell = 0.0;
+  for (std::size_t k = 0; k <= kLen; ++k) {
+    obs_cell += per_pass[k];
+    exp_cell += pmf[k] * kTrials;
+    if (exp_cell >= 5.0 && k < kLen) {
+      observed.push_back(obs_cell);
+      expected.push_back(exp_cell);
+      obs_cell = 0;
+      exp_cell = 0.0;
+    }
+  }
+  // The tail that never reached 5 joins the last full cell.
+  observed.back() += obs_cell;
+  expected.back() += exp_cell;
+  ASSERT_GE(observed.size(), 4u);
+  EXPECT_LT(stats::chi_square_statistic(observed, expected),
+            stats::chi_square_critical(observed.size() - 1, 0.001))
+      << "p=" << p;
+  EXPECT_LT(stats::chi_square_uniform(per_position),
+            stats::chi_square_critical(kLen - 1, 0.001))
+      << "p=" << p;
+}
+
+TEST(GeometricGaps, InclusionMatchesPerTrialBernoulli) {
+  expect_bernoulli_inclusion(0.1, 81);
+  expect_bernoulli_inclusion(0.03, 82);
+}
+
+TEST(GeometricGaps, HalfIsAFairCoinPerPosition) {
+  expect_bernoulli_inclusion(0.5, 83);
+  // The first gap is Geometric(1/2): P(gap = g) = 2^-(g+1).
+  Rng rng(84);
+  const GeometricGaps gaps(0.5);
+  constexpr int kDraws = 40000;
+  std::array<std::uint64_t, 8> gap_counts{};  // last cell: gap >= 7
+  for (int t = 0; t < kDraws; ++t) {
+    const std::uint64_t g = gaps.next(rng, 0, 1000);
+    ++gap_counts[std::min<std::uint64_t>(g, 7)];
+  }
+  std::array<double, 8> expected{};
+  for (std::size_t g = 0; g < 7; ++g) {
+    expected[g] = kDraws * std::ldexp(1.0, -static_cast<int>(g) - 1);
+  }
+  expected[7] = kDraws * std::ldexp(1.0, -7);
+  EXPECT_LT(stats::chi_square_statistic(gap_counts, expected),
+            stats::chi_square_critical(7, 0.001));
+}
+
+TEST(GeometricGaps, TinyPRunsPastAnySpanWithoutOverflow) {
+  // The gap is ~1e300 positions: it must be compared as a double and
+  // returned as `end`, never cast (float-cast-overflow builds abort on it).
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  Rng rng(85);
+  const GeometricGaps tiny(1e-300);
+  for (int t = 0; t < 100; ++t) {
+    EXPECT_EQ(tiny.next(rng, 0, kMax), kMax);
+    EXPECT_EQ(tiny.next(rng, 5, 1000), 1000u);
+  }
+  const GeometricGaps small(1e-25);
+  EXPECT_EQ(small.next(rng, 0, kMax), kMax);
+}
+
+TEST(GeometricGaps, DrawsDoNotDependOnTheSpan) {
+  // One draw per call for 0 < p < 1 whatever `end` is, including an empty
+  // span; none at p = 0 or p = 1.
+  Rng a(86);
+  Rng b(86);
+  const GeometricGaps gaps(0.2);
+  for (int t = 0; t < 200; ++t) {
+    const std::uint64_t far = gaps.next(a, 3, 1'000'000);
+    const std::uint64_t near = gaps.next(b, 3, 6);
+    EXPECT_EQ(near, std::min<std::uint64_t>(far, 6));
+  }
+  gaps.next(a, 9, 9);
+  gaps.next(b, 10, 9);
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+
+  Rng c(87);
+  Rng untouched(87);
+  EXPECT_EQ(GeometricGaps(0.0).next(c, 4, 10), 10u);
+  EXPECT_EQ(GeometricGaps(1.0).next(c, 4, 10), 4u);
+  EXPECT_EQ(GeometricGaps(1.0).next(c, 12, 10), 10u);
+  EXPECT_EQ(c.next_u64(), untouched.next_u64());
+  EXPECT_THROW(GeometricGaps(1.5), CheckFailure);
+  EXPECT_THROW(GeometricGaps(-0.1), CheckFailure);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "common/check.h"
 #include "platform/shard_worker.h"
 #include "platform/supervisor.h"
+#include "sanitizers.h"
 #include "sim/chaos.h"
 #include "sim/checkpoint.h"
 #include "sim/fault.h"
@@ -28,17 +29,8 @@
 // ASan changes two things the death matrix depends on: it installs its own
 // SIGSEGV handler (a raise(SIGSEGV) becomes a plain exit, still a worker
 // death but with different forensic text), and RLIMIT_AS is incompatible
-// with the shadow-memory mapping. The affected assertions gate on this.
-#if defined(__SANITIZE_ADDRESS__)
-#define RITCS_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define RITCS_ASAN 1
-#endif
-#endif
-#ifndef RITCS_ASAN
-#define RITCS_ASAN 0
-#endif
+// with the shadow-memory mapping. The affected assertions gate on
+// RITCS_ASAN.
 
 namespace rit::platform {
 namespace {
