@@ -53,13 +53,13 @@ constexpr std::uint64_t kNoEnd = std::numeric_limits<std::uint64_t>::max();
 std::uint64_t order_units(std::span<const double> values,
                           std::span<const std::uint32_t> counts,
                           CraWorkspace& ws, rng::Rng& rng) {
-  std::vector<RunKey>& runs = ws.runs;
-  std::sort(runs.begin(), runs.end(), [](const RunKey& a, const RunKey& b) {
-    if (a.value != b.value) return a.value < b.value;
+  std::vector<std::uint32_t>& runs = ws.runs;
+  std::sort(runs.begin(), runs.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (values[a] != values[b]) return values[a] < values[b];
 #if RIT_BUG_ENABLED(RIT_BUG_CRA_TIEBREAK)
-    return a.run > b.run;  // planted: tied runs enter the shuffle reversed
+    return a > b;  // planted: tied runs enter the shuffle reversed
 #else
-    return a.run < b.run;
+    return a < b;
 #endif
   });
   ws.order.clear();
@@ -69,14 +69,14 @@ std::uint64_t order_units(std::span<const double> values,
   std::uint64_t units = 0;
   for (std::size_t i = 0; i < runs.size();) {
     std::size_t j = i + 1;
-    while (j < runs.size() && runs[j].value == runs[i].value) ++j;
+    while (j < runs.size() && values[runs[j]] == values[runs[i]]) ++j;
     if (j - i == 1) {
-      ws.order.push_back({runs[i].run, counts[runs[i].run]});
-      units += counts[runs[i].run];
+      ws.order.push_back({runs[i], counts[runs[i]]});
+      units += counts[runs[i]];
     } else {
       const std::size_t first = ws.order.size();
       for (std::size_t k = i; k < j; ++k) {
-        const std::uint32_t run = runs[k].run;
+        const std::uint32_t run = runs[k];
         ws.order.insert(ws.order.end(), counts[run], RunSlice{run, 1});
         units += counts[run];
       }
@@ -168,14 +168,14 @@ void run_cra(std::span<const double> values,
     for (std::uint32_t r = 0; r < values.size(); ++r) {
       if (counts[r] == 0) continue;
       units += counts[r];
-      ws.runs.push_back({values[r], r});
+      ws.runs.push_back(r);
     }
     if (units < budget + 1) return;
     // The price is the value at unit rank `budget`. The budget+1 cheapest
     // runs hold at least budget+1 units, so it is among them: select
     // those, order them, and walk their counts.
-    const auto value_less = [](const RunKey& a, const RunKey& b) {
-      return a.value < b.value;
+    const auto value_less = [&](std::uint32_t a, std::uint32_t b) {
+      return values[a] < values[b];
     };
     const std::size_t last = std::min<std::size_t>(
         static_cast<std::size_t>(budget), ws.runs.size() - 1);
@@ -185,17 +185,15 @@ void run_cra(std::span<const double> values,
     double price = 0.0;
     std::uint64_t below = 0;
     for (auto it = ws.runs.begin(); it != cut; ++it) {
-      below += counts[it->run];
+      below += counts[*it];
       if (below > budget) {
-        price = it->value;
+        price = values[*it];
         break;
       }
     }
     ws.runs.clear();
     for (std::uint32_t r = 0; r < values.size(); ++r) {
-      if (counts[r] != 0 && values[r] <= price) {
-        ws.runs.push_back({values[r], r});
-      }
+      if (counts[r] != 0 && values[r] <= price) ws.runs.push_back(r);
     }
     RIT_CHECK(order_units(values, counts, ws, rng) > budget);
     keep_first_units(ws.order, budget);
@@ -260,7 +258,7 @@ void run_cra(std::span<const double> values,
     for (std::uint32_t r = 0; r < values.size(); ++r) {
       if (counts[r] != 0 && values[r] <= s) {
         raw += counts[r];
-        ws.runs.push_back({values[r], r});
+        ws.runs.push_back(r);
       }
     }
     out.raw_count = raw;
@@ -317,12 +315,11 @@ void run_cra(std::span<const double> values,
 
   // Step 5: if more than q survive, q winners uniformly at random.
   pick_winners(chosen, params.q, rng, ws, out);
-#ifndef NDEBUG
-  for (const RunSlice& w : out.winners) {
-    RIT_CHECK(values[w.run] <= price);  // Lemma 6.1: winners never outbid it
-    RIT_CHECK(w.units <= counts[w.run]);
-  }
-#endif
+  // Lemma 6.1: winners never outbid the price.
+  RIT_DCHECK(std::all_of(
+      out.winners.begin(), out.winners.end(), [&](const RunSlice& w) {
+        return values[w.run] <= price && w.units <= counts[w.run];
+      }));
   out.clearing_price = out.num_winners == 0 ? 0.0 : price;
   RIT_COUNTER_ADD("cra.winners", out.num_winners);
 }

@@ -67,12 +67,6 @@ struct RunSlice {
   friend bool operator==(const RunSlice&, const RunSlice&) = default;
 };
 
-/// A run keyed by its value, so ordering runs reads contiguous keys.
-struct RunKey {
-  double value{0.0};
-  std::uint32_t run{0};
-};
-
 struct CraOutcome {
   /// The winning units as run slices, in ascending-value order; every
   /// winning unit is allocated one task. At most q entries, whatever the
@@ -106,7 +100,7 @@ struct CraOutcome {
 struct CraWorkspace {
   /// The runs at or below the round's threshold, in ascending
   /// (value, run) order.
-  std::vector<RunKey> runs;
+  std::vector<std::uint32_t> runs;
   /// Those runs' units in tie-shuffled ascending order, as slices; steps
   /// 3-5 narrow the potential winners to a prefix of it.
   std::vector<RunSlice> order;

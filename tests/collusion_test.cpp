@@ -54,17 +54,30 @@ struct CoalitionInstance {
   }
 };
 
+// RIT is truthful only with probability >= H (Thm 2), so a joint deviation
+// may pay a little in expectation, and one does: shading below cost gains
+// 2-4.5% of the coalition's truthful utility (60 000 paired seeds, the same
+// under mechanism streams 2 and 3). The tests state the effect size they
+// allow: a deviation may raise the coalition's expected utility by at most
+// kGainAllowance of its truthful expected utility, beyond the 95% CI of
+// the paired mean. At kTrials pairs the normal approximation puts the
+// suite's failure rate near 0.05% of seed bases under either stream.
+constexpr int kTrials = 1000;
+constexpr double kGainAllowance = 0.1;
+
+struct Gain {
+  double mean{0.0};      // mean paired gain of the deviation
+  double slack{0.0};     // its 95% CI half-width
+  double truthful{0.0};  // mean coalition utility under truthful asks
+};
+
 // Expected total coalition gain of a joint deviation, paired seeds.
-double mean_gain(const CoalitionInstance& inst,
-                 const std::vector<Ask>& deviated, int trials,
-                 double* slack_out) {
+Gain mean_gain(const CoalitionInstance& inst,
+               const std::vector<Ask>& deviated) {
   stats::OnlineStats diff;
-  for (int t = 0; t < trials; ++t) {
-    // Base 0xc0a1 served mechanism streams 1-2; under stream 3 its 350
-    // seeds put JointShadingBelowCostDoesNotPay/5 at ~2 standard errors
-    // (the 6000-seed means of both streams agree). At 350 trials the
-    // suite fails on ~1 in 10 seed bases under either stream.
-    const std::uint64_t seed = 0xc0a2 + static_cast<std::uint64_t>(t) * 13;
+  stats::OnlineStats truthful;
+  for (int t = 0; t < kTrials; ++t) {
+    const std::uint64_t seed = 0xc0a1 + static_cast<std::uint64_t>(t) * 13;
     double truthful_u;
     double deviated_u;
     {
@@ -85,9 +98,14 @@ double mean_gain(const CoalitionInstance& inst,
       deviated_u = u;
     }
     diff.add(deviated_u - truthful_u);
+    truthful.add(truthful_u);
   }
-  if (slack_out != nullptr) *slack_out = diff.ci95_half_width();
-  return diff.mean();
+  return Gain{diff.mean(), diff.ci95_half_width(), truthful.mean()};
+}
+
+void expect_does_not_pay(const Gain& g, std::uint32_t size) {
+  EXPECT_LE(g.mean, g.slack + kGainAllowance * g.truthful)
+      << "coalition size " << size << ", truthful utility " << g.truthful;
 }
 
 class CoalitionSize : public ::testing::TestWithParam<std::uint32_t> {};
@@ -101,9 +119,7 @@ TEST_P(CoalitionSize, JointOverbiddingDoesNotPay) {
   const CoalitionInstance inst(31, GetParam());
   std::vector<Ask> deviated = inst.asks;
   for (std::uint32_t j : inst.coalition) deviated[j].value *= 1.4;
-  double slack = 0.0;
-  const double gain = mean_gain(inst, deviated, 350, &slack);
-  EXPECT_LE(gain, slack + 0.1) << "coalition size " << GetParam();
+  expect_does_not_pay(mean_gain(inst, deviated), GetParam());
 }
 
 TEST_P(CoalitionSize, SplitRolesDoNotPay) {
@@ -115,18 +131,14 @@ TEST_P(CoalitionSize, SplitRolesDoNotPay) {
     const std::uint32_t j = inst.coalition[i];
     deviated[j].value *= (i % 2 == 0) ? 0.3 : 2.5;
   }
-  double slack = 0.0;
-  const double gain = mean_gain(inst, deviated, 350, &slack);
-  EXPECT_LE(gain, slack + 0.1) << "coalition size " << GetParam();
+  expect_does_not_pay(mean_gain(inst, deviated), GetParam());
 }
 
 TEST_P(CoalitionSize, JointShadingBelowCostDoesNotPay) {
   const CoalitionInstance inst(41, GetParam());
   std::vector<Ask> deviated = inst.asks;
   for (std::uint32_t j : inst.coalition) deviated[j].value *= 0.5;
-  double slack = 0.0;
-  const double gain = mean_gain(inst, deviated, 350, &slack);
-  EXPECT_LE(gain, slack + 0.1) << "coalition size " << GetParam();
+  expect_does_not_pay(mean_gain(inst, deviated), GetParam());
 }
 
 TEST(Collusion, DeterministicKthPriceContrast) {
