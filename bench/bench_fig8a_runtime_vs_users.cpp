@@ -1,6 +1,7 @@
 // Fig. 8(a): running time vs number of users.
 // Expected shape: approximately linear in n for both series (Theorem 3:
-// O(N |J|)); the payment determination phase adds only O(N log N) on top.
+// O(N |J|)); the payment determination phase adds only O(N + |S| log W) on
+// top, for W winners whose ancestor union is S.
 #include "figure_sweeps.h"
 
 int main(int argc, char** argv) {

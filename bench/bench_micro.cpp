@@ -215,7 +215,8 @@ struct PaymentFixtureData {
   std::vector<double> payments;
 };
 
-PaymentFixtureData make_payment_data(std::uint32_t n) {
+// `winners` is the share of participants with a non-zero auction payment.
+PaymentFixtureData make_payment_data(std::uint32_t n, double winners = 0.3) {
   rng::Rng rng(5);
   PaymentFixtureData d;
   d.tree = tree::random_recursive_tree(n, 0.05, rng);
@@ -223,7 +224,7 @@ PaymentFixtureData make_payment_data(std::uint32_t n) {
   d.payments.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     d.types[i] = TaskType{static_cast<std::uint32_t>(rng.uniform_index(10))};
-    d.payments[i] = rng.bernoulli(0.3) ? rng.uniform01() * 10.0 : 0.0;
+    d.payments[i] = rng.bernoulli(winners) ? rng.uniform01() * 10.0 : 0.0;
   }
   return d;
 }
@@ -246,12 +247,17 @@ void BM_PaymentPhaseReference(benchmark::State& state) {
 }
 BENCHMARK(BM_PaymentPhaseReference)->Arg(1000)->Arg(10000);
 
-// Flat-workspace payment pass at {1, 2, 4} intra-trial threads. The output
-// is bit-identical across the thread column (payment_test pins that); the
+// Flat-workspace payment pass; args are {users, intra-trial threads,
+// winners in percent}. The 30% arms run at {1, 2, 4} threads; the sparse
+// 1M-user arm has 1% winning (the share of a trial_1m run), where only the
+// winners and their ancestors are queried. The output is bit-identical
+// across the thread column (payment_test pins that); the
 // heap_allocs_per_run counter must stay O(1) — a handful of bookkeeping
 // allocations (thread spawns, type-erased loop bodies), never O(N).
 void BM_PaymentPhaseWorkspace(benchmark::State& state) {
-  const auto d = make_payment_data(static_cast<std::uint32_t>(state.range(0)));
+  const auto d =
+      make_payment_data(static_cast<std::uint32_t>(state.range(0)),
+                        static_cast<double>(state.range(2)) / 100.0);
   const auto threads = static_cast<unsigned>(state.range(1));
   core::PaymentWorkspace ws;
   std::vector<double> out;
@@ -270,9 +276,10 @@ void BM_PaymentPhaseWorkspace(benchmark::State& state) {
           : 0.0);
 }
 BENCHMARK(BM_PaymentPhaseWorkspace)
-    ->Args({100000, 1})
-    ->Args({100000, 2})
-    ->Args({100000, 4});
+    ->Args({100000, 1, 30})
+    ->Args({100000, 2, 30})
+    ->Args({100000, 4, 30})
+    ->Args({1000000, 1, 1});
 
 void BM_BarabasiAlbert(benchmark::State& state) {
   rng::Rng rng(6);

@@ -1,7 +1,7 @@
 // Differential payment coverage on adversarial tree shapes at scale: a
 // 1e5-deep chain, a 1e5-wide star, and a 1e5-tooth comb. The production
-// O(N log N) pass (serial and parallel) is pinned against a reference on
-// each shape. For the star and comb the committed O(Σdepth) reference is
+// O(N + |S| log W) pass (serial and parallel) is pinned against a reference
+// on each shape. For the star and comb the committed O(Σdepth) reference is
 // affordable; for the deep chain Σdepth is ~5e9, so the test uses a local
 // sparse reference instead — only a handful of contributors carry nonzero
 // auction payments, and walking just their ancestor chains is exact.

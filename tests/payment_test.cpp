@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/check.h"
@@ -209,6 +211,104 @@ TEST(PaymentFast, IsLinearInAuctionPayments) {
   for (std::uint32_t i = 0; i < n; ++i) {
     EXPECT_NEAR(psum[i], pa[i] + pb[i], 1e-9 * (1.0 + psum[i]));
     EXPECT_NEAR(pscaled[i], 3.0 * pa[i], 1e-9 * (1.0 + pscaled[i]));
+  }
+}
+
+// FNV-1a over the bit pattern of every payment, so a moved ulp or a flipped
+// zero sign changes the digest.
+std::uint64_t payment_digest(const std::vector<double>& p) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (double x : p) {
+    const auto v = std::bit_cast<std::uint64_t>(x);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct DigestCase {
+  const char* name;
+  tree::IncentiveTree tree;
+  std::vector<TaskType> types;
+  std::vector<double> pa;
+  std::uint64_t digest;
+};
+
+// Random recursive tree over 6 types in which each participant won with
+// probability `contributors`; `signed_zeros` makes every loser's payment
+// -0.0 instead of +0.0.
+DigestCase random_case(const char* name, double contributors,
+                       bool signed_zeros, std::uint64_t digest) {
+  rng::Rng rng(4242);
+  const std::uint32_t n = 20000;
+  DigestCase c{name, tree::random_recursive_tree(n, 0.02, rng), {}, {},
+               digest};
+  for (std::uint32_t i = 0; i < n; ++i) {
+    c.types.push_back(
+        TaskType{static_cast<std::uint32_t>(rng.uniform_index(6))});
+    c.pa.push_back(rng.bernoulli(contributors)
+                       ? rng.uniform_real_left_open(0.0, 50.0)
+                       : (signed_zeros ? -0.0 : 0.0));
+  }
+  return c;
+}
+
+TEST(PaymentFast, OutputBytesArePinned) {
+  // The payment pass may get faster but must keep producing these exact
+  // bytes at every thread count: payments feed the budget checks and the
+  // bench CSVs, so "close" is not enough.
+  std::vector<DigestCase> cases;
+  cases.push_back(
+      random_case("random 1%", 0.01, false, 0x07466ab722187f71ULL));
+  cases.push_back(
+      random_case("random 30%", 0.30, false, 0x1f8b393ddf2690c9ULL));
+  cases.push_back(
+      random_case("random 100%", 1.0, false, 0xc05879c4a286f3c6ULL));
+  cases.push_back(random_case("random 30%, -0.0 losers", 0.30, true,
+                              0xa7860ed9145cf8c9ULL));
+  cases.push_back(random_case("all zero", 0.0, false, 0x5d221d5070447725ULL));
+  {
+    // Star: one hub under the root, every other participant its leaf.
+    const std::uint32_t n = 5000;
+    std::vector<std::uint32_t> parents(n + 1, 1);
+    parents[0] = 0;
+    parents[1] = 0;
+    DigestCase c{"star", tree::IncentiveTree(parents), {}, {},
+                 0x0affa580a4c51f87ULL};
+    rng::Rng rng(77);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      c.types.push_back(TaskType{i % 3});
+      c.pa.push_back(rng.uniform_real_left_open(0.0, 10.0));
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    // 2000-deep chain: every discount past depth ~1075 underflows to 0.0,
+    // so the deep winners contribute nothing.
+    const std::uint32_t n = 2000;
+    DigestCase c{"deep chain", tree::chain_tree(n), {}, {},
+                 0xd7c826c316ca889fULL};
+    for (std::uint32_t i = 0; i < n; ++i) {
+      c.types.push_back(TaskType{i % 2});
+      c.pa.push_back(1.0);
+    }
+    cases.push_back(std::move(c));
+  }
+  // One workspace per thread count, reused across all cases twice, so
+  // state left over from a differently shaped run is exercised too.
+  for (unsigned threads : {1u, 2u, 4u}) {
+    PaymentWorkspace ws;
+    std::vector<double> out;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const DigestCase& c : cases) {
+        tree_payments_into(c.tree, c.types, c.pa, 0.5, threads, ws, out);
+        EXPECT_EQ(payment_digest(out), c.digest)
+            << c.name << " threads=" << threads << " digest 0x" << std::hex
+            << payment_digest(out);
+      }
+    }
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <regex>
 #include <set>
 
 namespace rit::lint::internal {
@@ -271,6 +270,71 @@ void run_include_cycle_rule(const IncludeGraph& graph,
 
 namespace {
 
+// Adds the names one stripped line declares or calls: NAME after a
+// `class`/`struct`/`enum`/`union` keyword (for `enum class E` that is
+// `class`, which is harmless over-collection), NAME in `using NAME =`, and
+// every NAME directly followed by `(` that is not a keyword.
+void line_markers(const std::string& line, std::set<std::string>* markers) {
+  static const std::set<std::string> kTypeKeywords = {"class", "struct",
+                                                      "enum", "union"};
+  static const std::set<std::string> kNoise = {
+      "if",     "for",    "while",  "switch",   "return", "sizeof",
+      "catch",  "defined", "alignof", "decltype", "static_assert",
+      "assert", "class",  "struct", "enum",     "union",  "explicit",
+      "operator"};
+  for (std::size_t pos = find_word(line, 0); pos < line.size();
+       pos = find_word(line, pos)) {
+    const std::size_t end = word_end(line, pos);
+    const std::string word = line.substr(pos, end - pos);
+    pos = end;
+    if (kTypeKeywords.count(word) == 0 || end == line.size() ||
+        !is_space(line[end])) {
+      continue;
+    }
+    const std::size_t name = skip_spaces(line, end);
+    const std::size_t name_end = word_end(line, name);
+    if (name_end == name) continue;
+    markers->insert(line.substr(name, name_end - name));
+    pos = name_end;
+  }
+  for (std::size_t pos = find_word(line, 0); pos < line.size();
+       pos = find_word(line, pos)) {
+    const std::size_t end = word_end(line, pos);
+    const bool is_using = line.compare(pos, end - pos, "using") == 0;
+    pos = end;
+    if (!is_using || end == line.size() || !is_space(line[end])) continue;
+    const std::size_t name = skip_spaces(line, end);
+    const std::size_t name_end = word_end(line, name);
+    const std::size_t eq = skip_spaces(line, name_end);
+    if (name_end == name || !has_at(line, eq, "=")) continue;
+    markers->insert(line.substr(name, name_end - name));
+    pos = eq + 1;
+  }
+  if (line.find("#include") != std::string::npos) return;
+  for (std::size_t pos = find_word(line, 0); pos < line.size();
+       pos = find_word(line, pos)) {
+    const std::size_t end = word_end(line, pos);
+    const std::string name = line.substr(pos, end - pos);
+    pos = skip_spaces(line, end);
+    if (has_at(line, pos, "(") && kNoise.count(name) == 0) {
+      markers->insert(name);
+    }
+  }
+}
+
+// NAME of a raw line shaped `# define NAME...`, or "".
+std::string defined_macro(const std::string& raw) {
+  std::size_t i = skip_spaces(raw, 0);
+  if (!has_at(raw, i, "#")) return "";
+  i = skip_spaces(raw, i + 1);
+  if (!has_at(raw, i, "define") || i + 6 == raw.size() ||
+      !is_space(raw[i + 6])) {
+    return "";
+  }
+  i = skip_spaces(raw, i + 6);
+  return raw.substr(i, word_end(raw, i) - i);
+}
+
 // Names a header "exports", approximated lexically: type names, using
 // aliases, macro names, and anything that syntactically looks like a
 // function/constructor name. Over-collection is fine — the check only
@@ -285,40 +349,13 @@ void collect_markers(const IncludeGraph& graph, int node,
   std::set<std::string>& markers = (*memo)[node];
   const Prepped& p = *graph.files[node];
 
-  static const std::regex kTypeRe(R"(\b(?:class|struct|enum|union)\s+(\w+))");
-  static const std::regex kUsingRe(R"(\busing\s+(\w+)\s*=)");
-  static const std::regex kCallishRe(R"((\w+)\s*\()");
-  static const std::set<std::string> kNoise = {
-      "if",     "for",    "while",  "switch",   "return", "sizeof",
-      "catch",  "defined", "alignof", "decltype", "static_assert",
-      "assert", "class",  "struct", "enum",     "union",  "explicit",
-      "operator"};
-
-  for (const std::string& line : p.lines) {
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), kTypeRe);
-         it != std::sregex_iterator(); ++it) {
-      markers.insert((*it)[1].str());
-    }
-    for (auto it = std::sregex_iterator(line.begin(), line.end(), kUsingRe);
-         it != std::sregex_iterator(); ++it) {
-      markers.insert((*it)[1].str());
-    }
-    if (line.find("#include") == std::string::npos) {
-      for (auto it =
-               std::sregex_iterator(line.begin(), line.end(), kCallishRe);
-           it != std::sregex_iterator(); ++it) {
-        const std::string name = (*it)[1].str();
-        if (kNoise.count(name) == 0) markers.insert(name);
-      }
-    }
-  }
+  for (const std::string& line : p.lines) line_markers(line, &markers);
   // Macro names come from the raw content: stripping erases neither
   // `#define` nor the name, but this is cheap insurance against future
   // strip changes and picks up conditional definitions too.
-  static const std::regex kDefineRe(R"(^\s*#\s*define\s+(\w+))");
   for (const std::string& raw : split_lines(p.src->content)) {
-    std::smatch m;
-    if (std::regex_search(raw, m, kDefineRe)) markers.insert(m[1].str());
+    const std::string name = defined_macro(raw);
+    if (!name.empty()) markers.insert(name);
   }
 
   for (const auto& [line, to] : graph.edges[node]) {

@@ -8,9 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <regex>
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "include_graph.h"
 #include "scanner.h"
@@ -19,9 +19,14 @@ namespace rit::lint {
 namespace {
 
 using internal::FileClass;
+using internal::find_word;
+using internal::has_at;
+using internal::is_space;
 using internal::line_has_token;
 using internal::Prepped;
+using internal::skip_spaces;
 using internal::token_matches_at;
+using internal::word_end;
 
 // ---------------------------------------------------------------------------
 // Rule table. Token rules are pure data; the structural rules
@@ -39,8 +44,9 @@ struct TokenRule {
   // Word-bounded literal tokens: a match only counts when the characters
   // adjacent to word-character token edges are non-word.
   std::vector<const char*> tokens;
-  // ECMAScript regexes for patterns a literal token cannot express.
-  std::vector<const char*> regexes;
+  // Whole words ending in one of these suffixes, with at least one word
+  // character before it (token families a literal cannot list).
+  std::vector<const char*> word_suffixes;
   // Repo-relative path substrings exempt from this rule.
   std::vector<const char*> path_excludes;
   // Restrict to "result path" files: path names a report/serialization
@@ -101,7 +107,7 @@ const std::vector<TokenRule>& token_rules() {
        "stream.",
        FileClass::kCpp,
        {},
-       {R"(\b\w+_distribution\b)"},
+       {"_distribution"},
        {}},
       {"no-std-engine",
        "std engines (mt19937, minstd_rand, ...) invite std::shuffle / "
@@ -298,9 +304,6 @@ void run_token_rules(const Prepped& p, std::vector<Finding>* out) {
         !internal::path_contains_any(p.src->path, includes)) {
       continue;
     }
-    std::vector<std::regex> regexes;
-    regexes.reserve(rule.regexes.size());
-    for (const char* r : rule.regexes) regexes.emplace_back(r);
     for (std::size_t i = 0; i < p.lines.size(); ++i) {
       const std::string& line = p.lines[i];
       bool hit = false;
@@ -312,15 +315,18 @@ void run_token_rules(const Prepped& p, std::vector<Finding>* out) {
           break;
         }
       }
-      if (!hit) {
-        for (std::size_t r = 0; r < regexes.size(); ++r) {
-          std::smatch m;
-          if (std::regex_search(line, m, regexes[r])) {
+      for (std::size_t pos = find_word(line, 0); !hit && pos < line.size();
+           pos = find_word(line, pos)) {
+        const std::size_t end = word_end(line, pos);
+        for (const char* suffix : rule.word_suffixes) {
+          const std::size_t len = std::char_traits<char>::length(suffix);
+          if (end - pos > len && line.compare(end - len, len, suffix) == 0) {
             hit = true;
-            what = m.str(0);
+            what = line.substr(pos, end - pos);
             break;
           }
         }
+        pos = end;
       }
       if (hit) {
         internal::emit(p, i + 1, rule.id, "'" + what + "': " + rule.summary,
@@ -544,7 +550,6 @@ void run_rng_in_parallel_region_rule(const Prepped& p,
     return lo + 1;  // 1-based
   };
 
-  static const std::regex kRngRe(R"(\b\w*[Rr]ng\b)");
   static const std::string kCall = "parallel_for_blocked";
   for (std::size_t at = joined.find(kCall); at != std::string::npos;
        at = joined.find(kCall, at + kCall.size())) {
@@ -564,14 +569,20 @@ void run_rng_in_parallel_region_rule(const Prepped& p,
     const std::string extent =
         joined.substr(args_begin, i >= joined.size() ? std::string::npos
                                                      : i - args_begin);
-    for (auto it =
-             std::sregex_iterator(extent.begin(), extent.end(), kRngRe);
-         it != std::sregex_iterator(); ++it) {
-      const std::size_t off =
-          args_begin + static_cast<std::size_t>(it->position(0));
+    // Any word ending in `Rng` or `rng`.
+    for (std::size_t w = find_word(extent, 0); w < extent.size();
+         w = find_word(extent, w)) {
+      const std::size_t end = word_end(extent, w);
+      const std::string word = extent.substr(w, end - w);
+      const std::size_t off = args_begin + w;
+      w = end;
+      if (word.size() < 3 || word.compare(word.size() - 2, 2, "ng") != 0 ||
+          (word[word.size() - 3] != 'R' && word[word.size() - 3] != 'r')) {
+        continue;
+      }
       internal::emit(
           p, line_of(off), kId,
-          "'" + it->str(0) +
+          "'" + word +
               "' inside a parallel_for_blocked callback: the blocked "
               "partition reorders execution across workers, so drawing "
               "from (or capturing) an Rng here consumes the stream in a "
@@ -598,20 +609,64 @@ struct MergeDef {
   std::string type;
 };
 
+// Parses the first `void [OWNER ::] merge ( const TYPE &` on `line`
+// (spaces optional except after `void` and `const`). OWNER is "" when the
+// merge is not qualified.
+bool merge_signature(const std::string& line, std::string* owner,
+                     std::string* type) {
+  // The rest after `merge`: `( const TYPE &`.
+  const auto tail = [&](std::size_t i) {
+    i = skip_spaces(line, i);
+    if (!has_at(line, i, "(")) return false;
+    i = skip_spaces(line, i + 1);
+    if (!has_at(line, i, "const") || i + 5 == line.size() ||
+        !is_space(line[i + 5])) {
+      return false;
+    }
+    const std::size_t begin = skip_spaces(line, i + 5);
+    const std::size_t end = word_end(line, begin);
+    if (end == begin || !has_at(line, skip_spaces(line, end), "&")) {
+      return false;
+    }
+    *type = line.substr(begin, end - begin);
+    return true;
+  };
+  for (std::size_t pos = find_word(line, 0); pos < line.size();
+       pos = find_word(line, pos)) {
+    const std::size_t end = word_end(line, pos);
+    const bool is_void = line.compare(pos, end - pos, "void") == 0;
+    pos = end;
+    if (!is_void || end == line.size() || !is_space(line[end])) continue;
+    const std::size_t at = skip_spaces(line, end);
+    const std::size_t qual_end = word_end(line, at);
+    const std::size_t colons = skip_spaces(line, qual_end);
+    if (qual_end > at && has_at(line, colons, "::")) {
+      const std::size_t m = skip_spaces(line, colons + 2);
+      if (has_at(line, m, "merge") && tail(m + 5)) {
+        *owner = line.substr(at, qual_end - at);
+        return true;
+      }
+    }
+    if (has_at(line, at, "merge") && tail(at + 5)) {
+      owner->clear();
+      return true;
+    }
+  }
+  return false;
+}
+
 void collect_merge_info(const Prepped& p, std::vector<MergeDef>* defs,
                         std::set<std::string>* guarded) {
   if (p.file_class != FileClass::kCpp) return;
-  static const std::regex kMergeRe(
-      R"(\bvoid\s+(?:(\w+)\s*::\s*)?merge\s*\(\s*const\s+(\w+)\s*&)");
-  static const std::regex kSizeofRe(R"(sizeof\s*\(\s*(\w+)\s*\))");
   for (std::size_t i = 0; i < p.lines.size(); ++i) {
-    std::smatch m;
-    if (std::regex_search(p.lines[i], m, kMergeRe)) {
+    std::string owner;
+    std::string type;
+    if (merge_signature(p.lines[i], &owner, &type)) {
       // Only self-merges: merge(const T&) inside T, or T::merge(const T&).
       // Cross-type folds (e.g. Stat::merge_in(const OnlineStats&)) are a
       // different shape and carry no field-coverage obligation here.
-      if (!m[1].matched || m[1].str() == m[2].str()) {
-        defs->push_back(MergeDef{&p, i + 1, m[2].str()});
+      if (owner.empty() || owner == type) {
+        defs->push_back(MergeDef{&p, i + 1, type});
       }
     }
   }
@@ -625,9 +680,17 @@ void collect_merge_info(const Prepped& p, std::vector<MergeDef>* defs,
   for (std::size_t at = joined.find("static_assert");
        at != std::string::npos; at = joined.find("static_assert", at + 1)) {
     const std::string window = joined.substr(at, 300);
-    auto begin = std::sregex_iterator(window.begin(), window.end(), kSizeofRe);
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-      guarded->insert((*it)[1].str());
+    // Every `sizeof ( NAME )` in the window.
+    for (std::size_t s = window.find("sizeof"); s != std::string::npos;
+         s = window.find("sizeof", s + 1)) {
+      const std::size_t name = skip_spaces(window, s + 6);
+      if (!has_at(window, name, "(")) continue;
+      const std::size_t begin = skip_spaces(window, name + 1);
+      const std::size_t end = word_end(window, begin);
+      if (end == begin || !has_at(window, skip_spaces(window, end), ")")) {
+        continue;
+      }
+      guarded->insert(window.substr(begin, end - begin));
     }
   }
 }

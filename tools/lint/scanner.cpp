@@ -1,7 +1,7 @@
 #include "scanner.h"
 
 #include <cctype>
-#include <regex>
+#include <utility>
 
 namespace rit::lint {
 
@@ -304,6 +304,30 @@ bool line_has_token(const std::string& line, const std::string& token) {
   return false;
 }
 
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+std::size_t skip_spaces(const std::string& s, std::size_t pos) {
+  while (pos < s.size() && is_space(s[pos])) ++pos;
+  return pos;
+}
+
+std::size_t find_word(const std::string& s, std::size_t pos) {
+  while (pos < s.size() && !is_word(s[pos])) ++pos;
+  return pos;
+}
+
+std::size_t word_end(const std::string& s, std::size_t pos) {
+  while (pos < s.size() && is_word(s[pos])) ++pos;
+  return pos;
+}
+
+bool has_at(const std::string& s, std::size_t pos, const std::string& lit) {
+  return pos <= s.size() && s.compare(pos, lit.size(), lit) == 0;
+}
+
 bool AllowSet::allows(const std::string& rule, std::size_t line) const {
   if (file_rules.count(rule) != 0 || file_rules.count("*") != 0) {
     return true;
@@ -369,10 +393,20 @@ const char* const kResultPathHints[] = {"report", "csv",    "json",
                                         "_io",    "export", "render",
                                         "statement", "svg", "table"};
 
-// Extracts `#include "..."` targets. The stripped line decides whether the
-// directive is live code (a commented-out include strips to blanks); the
-// raw line supplies the quoted path, which stripping blanked.
-const std::regex kIncludeRe(R"(^\s*#\s*include\s*"([^"]+)\")");
+// The non-empty quoted target of a line shaped `# include "target"`
+// (spaces allowed around `#` and before the quote), or "" if the line has
+// another shape.
+std::string quoted_include(const std::string& raw) {
+  std::size_t i = skip_spaces(raw, 0);
+  if (!has_at(raw, i, "#")) return "";
+  i = skip_spaces(raw, i + 1);
+  if (!has_at(raw, i, "include")) return "";
+  i = skip_spaces(raw, i + 7);
+  if (!has_at(raw, i, "\"")) return "";
+  const std::size_t close = raw.find('"', i + 1);
+  if (close == std::string::npos) return "";
+  return raw.substr(i + 1, close - i - 1);
+}
 
 }  // namespace
 
@@ -388,15 +422,18 @@ Prepped prep(const SourceFile& f) {
   for (const std::string& line : split_lines(stripped)) {
     p.lines.push_back(normalize_ws(line));
   }
+  // Extracts `#include "..."` targets. The stripped line decides whether
+  // the directive is live code (a commented-out include strips to blanks);
+  // the raw line supplies the quoted path, which stripping blanked.
   if (p.file_class == FileClass::kCpp) {
     for (std::size_t i = 0; i < p.lines.size() && i < raw_lines.size(); ++i) {
       if (p.lines[i].find("#include") == std::string::npos &&
           p.lines[i].find("# include") == std::string::npos) {
         continue;
       }
-      std::smatch m;
-      if (std::regex_search(raw_lines[i], m, kIncludeRe)) {
-        p.includes.push_back(IncludeDirective{i + 1, m[1].str()});
+      std::string target = quoted_include(raw_lines[i]);
+      if (!target.empty()) {
+        p.includes.push_back(IncludeDirective{i + 1, std::move(target)});
       }
     }
   }

@@ -48,6 +48,28 @@ bool token_matches_at(const std::string& line, std::size_t pos,
 
 bool line_has_token(const std::string& line, const std::string& token);
 
+// Hand-written pattern helpers. The rules match a few fixed shapes
+// ("`struct` NAME", "NAME (", "sizeof ( NAME )", ...) by hand instead of
+// with <regex>: the shapes are simple, and libstdc++'s <regex> trips
+// -Wmaybe-uninitialized under -fsanitize=address on GCC 12, which breaks
+// the -Werror sanitizer build. Word characters are is_word's; spaces are
+// the six of the C locale's isspace, as in an ECMAScript \s.
+
+bool is_space(char c);
+
+/// First offset at or after `pos` that is not a space (or s.size()).
+std::size_t skip_spaces(const std::string& s, std::size_t pos);
+
+/// Start of the first word-character run at or after `pos` (or s.size()).
+std::size_t find_word(const std::string& s, std::size_t pos);
+
+/// One past the last word character of the run starting at `pos`
+/// (`pos` itself when s[pos] is not a word character).
+std::size_t word_end(const std::string& s, std::size_t pos);
+
+/// True when `s` holds `lit` at `pos`.
+bool has_at(const std::string& s, std::size_t pos, const std::string& lit);
+
 // ---------------------------------------------------------------------------
 // Allowlist directives (parsed from RAW content, before stripping)
 // ---------------------------------------------------------------------------
