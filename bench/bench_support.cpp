@@ -19,7 +19,6 @@
 #include "obs/perf_counters.h"
 #include "obs/trace_export.h"
 #include "platform/supervisor.h"
-#include "sim/runner.h"
 
 namespace rit::bench {
 
@@ -157,14 +156,6 @@ std::uint64_t sweep_config_hash(const BenchOptions& opts) {
 sim::AggregateMetrics run_point(
     const BenchOptions& opts, const sim::Scenario& scenario,
     const std::function<void(std::uint64_t, std::uint64_t)>& progress) {
-  const bool default_policy =
-      opts.max_trial_failures == 0 && opts.trial_timeout_ms == 0.0;
-  if (!opts.supervised && opts.checkpoint_path.empty() && default_policy) {
-    // The historical path, byte-identical (including the exact serial code
-    // for one thread).
-    return sim::run_many_parallel(scenario, opts.trials, opts.threads,
-                                  progress);
-  }
   SweepState& sweep = *opts.sweep;
   // Supervised runs partition by shard instead of thread; both knobs bind
   // the checkpoint the same way (partition width), so a checkpoint written

@@ -1,6 +1,7 @@
 #include "core/rit.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -76,12 +77,6 @@ double RitResult::total_auction_payment() const {
 RitResult run_auction_phase(const Job& job, std::span<const Ask> asks,
                             const RitConfig& config, rng::Rng& rng) {
   RitWorkspace ws;
-  return run_auction_phase(job, asks, config, rng, ws);
-}
-
-RitResult run_auction_phase(const Job& job, std::span<const Ask> asks,
-                            const RitConfig& config, rng::Rng& rng,
-                            RitWorkspace& ws) {
   RitResult res;
   run_auction_phase_into(job, asks, config, rng, ws, res);
   return res;
@@ -92,6 +87,7 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
                             RitWorkspace& ws, RitResult& res) {
   RIT_TRACE_SPAN("rit.auction_phase");
   RIT_COUNTER_INC("rit.auctions_run");
+  const auto phase_start = std::chrono::steady_clock::now();
   validate_asks(job, asks);
   RIT_CHECK_MSG(config.h > 0.0 && config.h < 1.0,
                 "H must lie in (0,1), got " << config.h);
@@ -199,6 +195,9 @@ void run_auction_phase_into(const Job& job, std::span<const Ask> asks,
     res.payment.assign(res.auction_payment.begin(),
                        res.auction_payment.end());
   }
+  res.auction_phase_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - phase_start)
+                             .count();
 }
 
 RitResult run_rit(const Job& job, std::span<const Ask> asks,

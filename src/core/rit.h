@@ -98,6 +98,11 @@ struct RitResult {
   /// probability that the whole auction phase was K_max-truthful. Equals at
   /// least H under kTheoretical with healthy parameters.
   double achieved_probability{1.0};
+  /// Wall-clock milliseconds spent in phase 1 (the `rit.auction_phase`
+  /// span) of the run that filled this result: the auction-phase running
+  /// time of Fig. 8. A measurement, not an outcome, so result_io,
+  /// checkpoints and hashes never write it.
+  double auction_phase_ms{0.0};
 
   /// U_j = p_j - x_j * c_j for participant j given its true unit cost.
   double utility_of(std::uint32_t participant, double unit_cost) const {
@@ -148,16 +153,11 @@ RitResult run_rit(const Job& job, std::span<const Ask> asks,
                   rng::Rng& rng, RitWorkspace& ws);
 
 /// Runs only the auction phase (both result payment vectors are set to the
-/// auction payments). Used by baselines and by the Sec. 4 experiments that
-/// need a tree-free truthful auction; run_rit composes this with
-/// tree_payments().
+/// auction payments). run_rit runs exactly this as its phase 1, on the same
+/// random stream, and then adds tree_payments(); the tests use the
+/// standalone form to pin phase 1 on its own.
 RitResult run_auction_phase(const Job& job, std::span<const Ask> asks,
                             const RitConfig& config, rng::Rng& rng);
-
-/// Scratch-reusing form of run_auction_phase (see RitWorkspace).
-RitResult run_auction_phase(const Job& job, std::span<const Ask> asks,
-                            const RitConfig& config, rng::Rng& rng,
-                            RitWorkspace& ws);
 
 /// Result-reusing forms: identical draws and values, but the result's
 /// vectors are refilled in place, so a sweep that keeps one RitResult per

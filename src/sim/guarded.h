@@ -16,10 +16,11 @@
 //   * chaos injection — the GuardPolicy carries a chaos::ChaosSpec for the
 //     fault-injection tests; it is inert by default.
 //
-// With a default GuardPolicy and no session this is behaviorally the old
-// run_many_parallel: identical partition, identical merge, and the first
-// fault aborts (budget 0) — except the abort is a clean CheckFailure
-// instead of std::terminate from an exception escaping a worker thread.
+// With a default GuardPolicy and no session the first fault aborts (budget
+// 0) with a clean CheckFailure; that is run_many_parallel. Every in-process
+// bench and `ritcs --mode=run` sweep comes through here, flags or not: the
+// robustness flags change containment and durability, never the output
+// bytes.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,9 @@
 #include "sim/runner.h"
 
-#include "common/parallel.h"
 #include "core/payment.h"
 #include "core/rit.h"
 #include "obs/obs.h"
 #include "sim/guarded.h"
-#include "sim/progress.h"
 #include "stats/timer.h"
 
 namespace rit::sim {
@@ -39,113 +37,56 @@ std::uint64_t mechanism_seed_of(const Scenario& scenario,
   return scenario.trial_seed(trial, kMechanismComponent);
 }
 
-TrialMetrics run_trial(const Scenario& scenario, const TrialInstance& inst) {
-  core::RitWorkspace ws;
-  return run_trial(scenario, inst, ws);
-}
-
 TrialMetrics run_trial(const Scenario& scenario, const TrialInstance& inst,
                        core::RitWorkspace& ws) {
   RIT_TRACE_SPAN("sim.trial");
   RIT_COUNTER_INC("sim.trials_run");
   TrialMetrics m;
-  const auto& asks = inst.population.truthful_asks;
   const auto& costs = inst.population.costs;
   const auto n = static_cast<double>(inst.population.size());
 
-  // Auction phase alone, timed. Same seed as the full run: phase 1 of both
-  // runs consumes the identical random stream, so allocations and auction
-  // payments coincide and the series isolate the payment phase's effect.
-  {
-    rng::Rng rng(inst.mechanism_seed);
-    stats::Timer timer;
-    const core::RitResult auction =
-        core::run_auction_phase(inst.job, asks, scenario.mechanism, rng, ws);
-    m.runtime_auction_ms = timer.elapsed_ms();
-    double total_utility = 0.0;
-    for (std::uint32_t j = 0; j < inst.population.size(); ++j) {
-      total_utility += auction.auction_utility_of(j, costs[j]);
-    }
-    m.avg_utility_auction = n > 0 ? total_utility / n : 0.0;
-    m.total_payment_auction = auction.total_auction_payment();
-  }
+  rng::Rng rng(inst.mechanism_seed);
+  core::RitResult r;
+  stats::Timer timer;
+  core::run_rit_into(inst.job, inst.population.truthful_asks, inst.tree,
+                     scenario.mechanism, rng, ws, r);
+  m.runtime_rit_ms = timer.elapsed_ms();
+  m.runtime_auction_ms = r.auction_phase_ms;
+  m.success = r.success;
+  m.probability_degraded = r.probability_degraded;
 
-  // Full mechanism, timed end to end.
-  {
-    rng::Rng rng(inst.mechanism_seed);
-    stats::Timer timer;
-    const core::RitResult full =
-        core::run_rit(inst.job, asks, inst.tree, scenario.mechanism, rng, ws);
-    m.runtime_rit_ms = timer.elapsed_ms();
-    m.success = full.success;
-    m.probability_degraded = full.probability_degraded;
-    double total_utility = 0.0;
-    std::uint64_t allocated = 0;
-    for (std::uint32_t j = 0; j < inst.population.size(); ++j) {
-      total_utility += full.utility_of(j, costs[j]);
-      allocated += full.allocation[j];
-    }
-    m.avg_utility_rit = n > 0 ? total_utility / n : 0.0;
-    m.total_payment_rit = full.total_payment();
-    m.tasks_allocated = allocated;
-    m.solicitation_premium =
-        core::solicitation_premium(full.payment, full.auction_payment);
+  // The payment phase writes only `payment`: `allocation` and
+  // `auction_payment` still hold phase 1's outputs, zeroed by phase 1
+  // itself when the run fails closed.
+  double auction_utility = 0.0;
+  double rit_utility = 0.0;
+  std::uint64_t allocated = 0;
+  for (std::uint32_t j = 0; j < inst.population.size(); ++j) {
+    auction_utility += r.auction_utility_of(j, costs[j]);
+    rit_utility += r.utility_of(j, costs[j]);
+    allocated += r.allocation[j];
   }
+  m.avg_utility_auction = n > 0 ? auction_utility / n : 0.0;
+  m.avg_utility_rit = n > 0 ? rit_utility / n : 0.0;
+  m.total_payment_auction = r.total_auction_payment();
+  m.total_payment_rit = r.total_payment();
+  m.tasks_allocated = allocated;
+  m.solicitation_premium =
+      core::solicitation_premium(r.payment, r.auction_payment);
   RIT_COUNTER_ADD("sim.tasks_allocated", m.tasks_allocated);
   if (m.probability_degraded) RIT_COUNTER_INC("sim.trials_degraded");
   return m;
 }
 
 TrialMetrics run_trial(const Scenario& scenario, std::uint64_t trial) {
-  return run_trial(scenario, make_instance(scenario, trial));
-}
-
-AggregateMetrics run_many(
-    const Scenario& scenario, std::uint64_t trials,
-    const std::function<void(std::uint64_t, std::uint64_t)>& progress) {
-  AggregateMetrics agg;
   core::RitWorkspace ws;
-  // Throttled so a trials=1000 sweep does not spam its reporter: at most
-  // one invocation per 100 ms, plus the final one.
-  ProgressThrottle throttle;
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    agg.add(run_trial(scenario, make_instance(scenario, t), ws));
-    if (progress && throttle.should_fire(t + 1 == trials)) {
-      progress(t + 1, trials);
-    }
-  }
-  return agg;
-}
-
-AggregateMetrics run_until_precision(const Scenario& scenario,
-                                     double target_ci,
-                                     std::uint64_t min_trials,
-                                     std::uint64_t max_trials) {
-  RIT_CHECK(target_ci > 0.0);
-  RIT_CHECK(min_trials >= 2 && min_trials <= max_trials);
-  AggregateMetrics agg;
-  for (std::uint64_t t = 0; t < max_trials; ++t) {
-    agg.add(run_trial(scenario, t));
-    if (t + 1 >= min_trials &&
-        agg.avg_utility_rit.ci95_half_width() <= target_ci) {
-      break;
-    }
-  }
-  return agg;
+  return run_trial(scenario, make_instance(scenario, trial), ws);
 }
 
 AggregateMetrics run_many_parallel(
     const Scenario& scenario, std::uint64_t trials, unsigned threads,
     const std::function<void(std::uint64_t, std::uint64_t)>& progress) {
-  const unsigned resolved = rit::resolve_threads(threads, trials);
-  if (resolved <= 1) return run_many(scenario, trials, progress);
-
-  // The guarded engine (sim/guarded.h) with a default policy is exactly
-  // the old fan-out — same strided partition, same worker-order merges of
-  // aggregates and metrics registries — plus containment: an exception in
-  // a trial aborts with a clean CheckFailure (failure budget 0) instead of
-  // std::terminate from a worker thread.
-  return run_many_guarded(scenario, trials, resolved, GuardPolicy{}, nullptr,
+  return run_many_guarded(scenario, trials, threads, GuardPolicy{}, nullptr,
                           0, progress)
       .metrics;
 }

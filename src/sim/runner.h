@@ -1,5 +1,6 @@
-// Trial runner: generates one instance from a Scenario and measures both the
-// auction phase and the full RIT mechanism on it.
+// Trial runner: generates one instance from a Scenario and runs the RIT
+// mechanism on it once, reporting both the auction phase (phase 1 of that
+// run) and the full mechanism.
 #pragma once
 
 #include <functional>
@@ -30,42 +31,24 @@ TrialInstance make_instance(const Scenario& scenario, std::uint64_t trial);
 /// what a fault ledger records so one trial can be re-run in isolation.
 std::uint64_t mechanism_seed_of(const Scenario& scenario, std::uint64_t trial);
 
-/// Runs the auction phase and the full mechanism on one instance with the
-/// *same* mechanism randomness (paired streams: phase-1 results coincide,
-/// so the two series in Figs. 6-8 differ only by the payment phase).
-TrialMetrics run_trial(const Scenario& scenario, const TrialInstance& inst);
-
-/// Scratch-reusing form: identical results, but the mechanism's per-round
-/// buffers live in `ws` (keep one per thread — run_many and
-/// run_many_parallel do).
+/// Runs the mechanism once on one instance, with the per-round buffers in
+/// `ws` (keep one per worker; the sweep engine does). The auction-phase
+/// series of Figs. 6-8 are phase 1 of that same run: its allocation,
+/// auction payments and phase-1 time. So the two series differ only by
+/// the payment phase.
 TrialMetrics run_trial(const Scenario& scenario, const TrialInstance& inst,
                        core::RitWorkspace& ws);
 
-/// Convenience: make_instance + run_trial.
+/// Convenience: make_instance + run_trial with a fresh workspace.
 TrialMetrics run_trial(const Scenario& scenario, std::uint64_t trial);
 
-/// Runs `trials` trials and aggregates. `progress`, when set, is invoked
-/// after each trial with (completed, total).
-AggregateMetrics run_many(
-    const Scenario& scenario, std::uint64_t trials,
-    const std::function<void(std::uint64_t, std::uint64_t)>& progress = {});
-
-/// Runs trials until the 95% confidence half-width of the RIT average
-/// utility falls below `target_ci` (absolute), bounded by [min_trials,
-/// max_trials]. The Monte-Carlo answer to "how many trials do I need?" —
-/// returns when the estimate is tight, not at an arbitrary count.
-AggregateMetrics run_until_precision(const Scenario& scenario,
-                                     double target_ci,
-                                     std::uint64_t min_trials = 5,
-                                     std::uint64_t max_trials = 1000);
-
-/// Same, fanned out over `threads` worker threads. Safe because every trial
-/// derives its own streams from (scenario.seed, trial) and shares nothing;
-/// per-thread aggregates are merged in thread-index order, so the result is
-/// deterministic and independent of scheduling (the merge order of Welford
-/// accumulators is fixed). threads == 0 picks hardware_concurrency();
-/// threads == 1 takes the exact serial run_many path (bit-for-bit).
-/// `progress`, when set, fires throttled and monotone from the workers.
+/// Runs `trials` trials through the guarded sweep engine with a default
+/// GuardPolicy: run_many_guarded(...).metrics, so the first fault aborts
+/// with a CheckFailure. Every trial derives its own streams from
+/// (scenario.seed, trial), and per-worker aggregates merge in worker-index
+/// order, so the result is deterministic and independent of scheduling.
+/// threads == 0 picks hardware_concurrency(). `progress`, when set, fires
+/// throttled and monotone from the workers.
 AggregateMetrics run_many_parallel(
     const Scenario& scenario, std::uint64_t trials, unsigned threads = 0,
     const std::function<void(std::uint64_t, std::uint64_t)>& progress = {});

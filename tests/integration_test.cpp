@@ -27,7 +27,7 @@ sim::Scenario base_scenario() {
 
 TEST(Integration, PaperScaledScenarioMostlySucceeds) {
   const sim::Scenario s = base_scenario();
-  const sim::AggregateMetrics agg = sim::run_many(s, 8);
+  const sim::AggregateMetrics agg = sim::run_many_parallel(s, 8, 1);
   // With supply ~ 800 * 3.5 / 5 = 560 asks per type against demand 40, the
   // allocation should essentially always complete.
   EXPECT_GE(agg.success_rate(), 0.75);
@@ -63,8 +63,8 @@ TEST(Integration, MoreUsersDepressAverageUtility) {
   small.num_users = 600;
   sim::Scenario large = base_scenario();
   large.num_users = 2400;
-  const auto agg_small = sim::run_many(small, 6);
-  const auto agg_large = sim::run_many(large, 6);
+  const auto agg_small = sim::run_many_parallel(small, 6, 1);
+  const auto agg_large = sim::run_many_parallel(large, 6, 1);
   EXPECT_GT(agg_small.avg_utility_rit.mean(),
             agg_large.avg_utility_rit.mean());
 }
@@ -75,8 +75,8 @@ TEST(Integration, BiggerJobsRaiseTotalPayment) {
   small_job.tasks_per_type = 20;
   sim::Scenario large_job = base_scenario();
   large_job.tasks_per_type = 80;
-  const auto agg_small = sim::run_many(small_job, 6);
-  const auto agg_large = sim::run_many(large_job, 6);
+  const auto agg_small = sim::run_many_parallel(small_job, 6, 1);
+  const auto agg_large = sim::run_many_parallel(large_job, 6, 1);
   EXPECT_GT(agg_large.total_payment_rit.mean(),
             agg_small.total_payment_rit.mean());
 }

@@ -72,6 +72,8 @@ const FixtureCase kFixtures[] = {
      "src/sim/scratch.cpp"},
     {"no-std-shuffle", "no_std_shuffle_bad.cpp",
      "no_std_shuffle_allowed.cpp", "src/sim/scratch.cpp"},
+    {"no-std-regex", "no_std_regex_bad.cpp", "no_std_regex_allowed.cpp",
+     "tools/lint/scratch.cpp"},
     {"no-wallclock-in-results", "no_wallclock_in_results_bad.cpp",
      "no_wallclock_in_results_allowed.cpp", "src/sim/scratch.cpp"},
     {"no-wallclock-in-history", "no_wallclock_in_history_bad.cpp",

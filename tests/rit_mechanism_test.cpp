@@ -292,8 +292,8 @@ TEST(Rit, AuctionPhaseWorkspaceOverloadMatches) {
   rng::Rng b(99);
   const RitResult fresh =
       run_auction_phase(inst.job, inst.asks, RitConfig{}, a);
-  const RitResult reused =
-      run_auction_phase(inst.job, inst.asks, RitConfig{}, b, ws);
+  RitResult reused;
+  run_auction_phase_into(inst.job, inst.asks, RitConfig{}, b, ws, reused);
   EXPECT_EQ(reused.success, fresh.success);
   EXPECT_EQ(reused.allocation, fresh.allocation);
   EXPECT_EQ(reused.payment, fresh.payment);

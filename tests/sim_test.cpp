@@ -7,6 +7,9 @@
 #include <vector>
 
 #include "common/check.h"
+#include "core/rit.h"
+#include "obs/metrics.h"
+#include "rng/rng.h"
 #include "sim/metrics.h"
 #include "sim/progress.h"
 #include "sim/runner.h"
@@ -239,8 +242,8 @@ TEST(Runner, RunManyAggregates) {
   const Scenario s = small_scenario();
   std::uint64_t calls = 0;
   std::uint64_t last_done = 0;
-  const AggregateMetrics agg = run_many(
-      s, 4, [&](std::uint64_t done, std::uint64_t total) {
+  const AggregateMetrics agg = run_many_parallel(
+      s, 4, 1, [&](std::uint64_t done, std::uint64_t total) {
         ++calls;
         last_done = done;
         EXPECT_LE(done, total);
@@ -299,7 +302,7 @@ void expect_aggregate_equivalent(const AggregateMetrics& parallel,
 
 TEST(Runner, ParallelMatchesSerialOnEveryFieldForManyThreadCounts) {
   const Scenario s = small_scenario();
-  const AggregateMetrics serial = run_many(s, 9);
+  const AggregateMetrics serial = run_many_parallel(s, 9, 1);
   for (const unsigned threads : {2u, 3u, 8u}) {
     SCOPED_TRACE(threads);
     expect_aggregate_equivalent(run_many_parallel(s, 9, threads), serial);
@@ -326,7 +329,7 @@ TEST(Runner, WorkspaceTrialMatchesConvenienceOverload) {
   core::RitWorkspace ws;
   for (std::uint64_t t = 0; t < 3; ++t) {  // reuse ws across trials
     const TrialInstance inst = make_instance(s, t);
-    const TrialMetrics fresh = run_trial(s, inst);
+    const TrialMetrics fresh = run_trial(s, t);
     const TrialMetrics reused = run_trial(s, inst, ws);
     EXPECT_EQ(reused.success, fresh.success);
     EXPECT_EQ(reused.tasks_allocated, fresh.tasks_allocated);
@@ -341,7 +344,7 @@ TEST(Runner, WorkspaceTrialMatchesConvenienceOverload) {
 
 TEST(Runner, ParallelMatchesSerial) {
   const Scenario s = small_scenario();
-  const AggregateMetrics serial = run_many(s, 6);
+  const AggregateMetrics serial = run_many_parallel(s, 6, 1);
   const AggregateMetrics parallel = run_many_parallel(s, 6, 3);
   EXPECT_EQ(parallel.trials, serial.trials);
   EXPECT_EQ(parallel.successes, serial.successes);
@@ -373,6 +376,107 @@ TEST(Runner, ParallelHandlesEdgeThreadCounts) {
   EXPECT_EQ(more_threads_than_trials.trials, 2u);
   const AggregateMetrics zero = run_many_parallel(s, 0, 4);
   EXPECT_EQ(zero.trials, 0u);
+}
+
+// The auction-phase series of one trial, recomputed from a standalone
+// run_auction_phase on the trial's mechanism seed.
+struct StandaloneAuction {
+  bool success{false};
+  double avg_utility{0.0};
+  double total_payment{0.0};
+};
+
+StandaloneAuction standalone_auction(const Scenario& s,
+                                     const TrialInstance& inst) {
+  rng::Rng rng(inst.mechanism_seed);
+  const core::RitResult a = core::run_auction_phase(
+      inst.job, inst.population.truthful_asks, s.mechanism, rng);
+  double total_utility = 0.0;
+  for (std::uint32_t j = 0; j < inst.population.size(); ++j) {
+    total_utility += a.auction_utility_of(j, inst.population.costs[j]);
+  }
+  const auto n = static_cast<double>(inst.population.size());
+  return {a.success, n > 0 ? total_utility / n : 0.0,
+          a.total_auction_payment()};
+}
+
+// First trial index whose run succeeds (or fails) under `s`.
+std::uint64_t first_trial_with(const Scenario& s, bool success) {
+  for (std::uint64_t t = 0; t < 64; ++t) {
+    if (run_trial(s, t).success == success) return t;
+  }
+  ADD_FAILURE() << "no trial with success=" << success << " in 64";
+  return 0;
+}
+
+// run_trial runs the mechanism once and reads the auction-phase series off
+// its phase 1; they must equal a standalone auction-phase run, bit for bit.
+TrialMetrics expect_auction_series_match_standalone(const Scenario& s,
+                                                    std::uint64_t trial) {
+  const TrialInstance inst = make_instance(s, trial);
+  core::RitWorkspace ws;
+  const TrialMetrics m = run_trial(s, inst, ws);
+  const StandaloneAuction a = standalone_auction(s, inst);
+  EXPECT_EQ(m.success, a.success);
+  EXPECT_EQ(m.avg_utility_auction, a.avg_utility);
+  EXPECT_EQ(m.total_payment_auction, a.total_payment);
+  EXPECT_GE(m.runtime_auction_ms, 0.0);
+  EXPECT_LE(m.runtime_auction_ms, m.runtime_rit_ms);
+  return m;
+}
+
+TEST(Runner, AuctionSeriesOfSucceedingTrialMatchStandalone) {
+  const Scenario s = small_scenario();
+  const TrialMetrics m =
+      expect_auction_series_match_standalone(s, first_trial_with(s, true));
+  EXPECT_TRUE(m.success);
+  EXPECT_GT(m.total_payment_auction, 0.0);
+}
+
+TEST(Runner, AuctionSeriesOfFailClosedTrialMatchStandalone) {
+  Scenario s = small_scenario();
+  s.mechanism.round_budget_policy = core::RoundBudgetPolicy::kTheoretical;
+  const TrialMetrics m =
+      expect_auction_series_match_standalone(s, first_trial_with(s, false));
+  EXPECT_FALSE(m.success);
+  EXPECT_EQ(m.total_payment_auction, 0.0);  // zeroed by phase 1
+  EXPECT_EQ(m.avg_utility_auction, 0.0);
+}
+
+TEST(Runner, AuctionSeriesWithoutZeroOnFailureMatchStandalone) {
+  Scenario s = small_scenario();
+  s.mechanism.round_budget_policy = core::RoundBudgetPolicy::kTheoretical;
+  s.mechanism.zero_on_failure = false;
+  const TrialMetrics m =
+      expect_auction_series_match_standalone(s, first_trial_with(s, false));
+  EXPECT_FALSE(m.success);
+  EXPECT_GT(m.total_payment_auction, 0.0);  // partial allocation kept
+}
+
+TEST(Runner, TrialTimeStatIsThreadCountInvariant) {
+  // The sweep engine times every trial into sim.trial_ms at every thread
+  // count; the reservoir is keyed by trial index, so the same slots fill.
+  const Scenario s = small_scenario();
+  const auto trial_ms_after = [&s](unsigned threads) {
+    obs::Registry::global().reset();
+    run_many_parallel(s, 5, threads);
+    return obs::Registry::global().snapshot();
+  };
+  const obs::MetricsSnapshot one = trial_ms_after(1);
+  const obs::MetricsSnapshot two = trial_ms_after(2);
+  ASSERT_EQ(one.stats.count("sim.trial_ms"), 1u);
+  ASSERT_EQ(two.stats.count("sim.trial_ms"), 1u);
+  EXPECT_EQ(one.stats.at("sim.trial_ms").count(), 5u);
+  EXPECT_EQ(two.stats.at("sim.trial_ms").count(), 5u);
+  const auto slots = [](const obs::MetricsSnapshot& snap) {
+    std::vector<std::uint64_t> out;
+    for (const auto& sample : snap.reservoirs.at("sim.trial_ms")) {
+      out.push_back(sample.first);
+    }
+    return out;
+  };
+  EXPECT_EQ(slots(one), (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(slots(two), slots(one));
 }
 
 TEST(ProgressThrottle, FakeClockDrivesAcceptance) {

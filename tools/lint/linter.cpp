@@ -136,6 +136,23 @@ const std::vector<TokenRule>& token_rules() {
        {"std::shuffle", "random_shuffle"},
        {},
        {}},
+      {"no-std-regex",
+       "<regex> / std::regex breaks the -Werror ASan+UBSan build on GCC 12 "
+       "(-Wmaybe-uninitialized in its inlined std::function state); match "
+       "fixed shapes by hand as tools/lint/scanner.h does",
+       "libstdc++'s <regex> inlines std::function state that GCC 12 flags "
+       "with -Wmaybe-uninitialized under -fsanitize=address, so one "
+       "include anywhere breaks only the -Werror sanitizer leg of "
+       "tools/check.sh, far from the change that caused it. The patterns "
+       "this repo matches are simple fixed shapes; the hand-written "
+       "helpers in tools/lint/scanner.h cover them.",
+       FileClass::kCpp,
+       {"<regex>", "std::regex", "std::wregex", "std::basic_regex",
+        "std::regex_match", "std::regex_search", "std::regex_replace",
+        "std::smatch", "std::cmatch", "std::sregex_iterator",
+        "std::sregex_token_iterator"},
+       {},
+       {}},
       {"no-wallclock-in-results",
        "wall-clock reads (system_clock, std::time, localtime, ...) in a "
        "result path make output depend on when it ran; results must be a "

@@ -10,16 +10,17 @@
 //                    [--shard-cpu-s=S] [--shard-retries=R]
 //                    [--heartbeat-timeout-ms=T] [overrides...]
 //       Run a scenario and print aggregate metrics across trials, fanned
-//       out over T worker threads (0 = hardware concurrency, 1 = exact
-//       serial path). With --population=FILE (CSV: type,quantity,cost)
-//       runs one trial over your own user data instead of a synthetic
-//       population. The robustness flags (docs/robustness.md) quarantine
-//       faulted trials within a failure budget, watchdog slow trials, and
-//       checkpoint progress for bit-identical --resume. --supervised runs
-//       each residue class of trials in its own forked worker process
-//       under rlimit budgets: a worker that segfaults, OOMs, or hangs is
-//       recorded in the fault ledger and retried with backoff, resuming
-//       from its own checkpoint cut (docs/robustness.md).
+//       out over T worker threads (0 = hardware concurrency, 1 = every
+//       trial in order on the calling thread). With --population=FILE
+//       (CSV: type,quantity,cost) runs one trial over your own user data
+//       instead of a synthetic population. The robustness flags
+//       (docs/robustness.md) quarantine faulted trials within a failure
+//       budget, watchdog slow trials, and checkpoint progress for
+//       bit-identical --resume. --supervised runs each residue class of
+//       trials in its own forked worker process under rlimit budgets: a
+//       worker that segfaults, OOMs, or hangs is recorded in the fault
+//       ledger and retried with backoff, resuming from its own checkpoint
+//       cut (docs/robustness.md).
 //   ritcs --mode=explain [--config=FILE] [--user=J] [overrides...]
 //       Run one trial and print the payment explanation for user J (or the
 //       user with the largest solicitation reward when J is omitted).
@@ -138,7 +139,7 @@ int run_with_population(const sim::Scenario& base, const std::string& path) {
 int mode_run(cli::Args& args) {
   const sim::Scenario s = scenario_from_args(args);
   const std::uint64_t trials = args.get_u64("trials", 5);
-  // 0 = hardware concurrency; 1 = the exact serial path (bit-for-bit).
+  // 0 = hardware concurrency; 1 = every trial on the calling thread.
   const auto threads = static_cast<unsigned>(args.get_u64("threads", 0));
   const std::string population = args.get_string("population", "");
   sim::GuardPolicy policy;
@@ -173,58 +174,52 @@ int mode_run(cli::Args& args) {
     std::cerr << "\rtrial " << done << "/" << total << std::flush;
     if (done == total) std::cerr << "\n";
   };
+  // A supervised run partitions by shard instead of thread; the binding is
+  // the same (partition width), so in-process and supervised checkpoints
+  // are interchangeable at matching counts.
+  const unsigned resolved = supervised
+                                ? platform::resolve_shards(shards, trials)
+                                : rit::resolve_threads(threads, trials);
+  std::uint64_t config_hash = 0;
+  std::unique_ptr<sim::CheckpointSession> session;
+  if (!checkpoint.empty()) {
+    // Bind the checkpoint to the full scenario (serialized config), the
+    // trial count and the mechanism RNG stream; resuming under any other
+    // setup must refuse.
+    std::ostringstream cfg;
+    sim::write_scenario(s, cfg);
+    cfg << "trials " << trials << "\n";
+    cfg << "stream " << core::kMechanismStreamVersion << "\n";
+    config_hash = fnv1a64(cfg.str());
+    sim::CheckpointSession::Params p;
+    p.path = checkpoint;
+    p.config_hash = config_hash;
+    p.seed = s.seed;
+    p.threads = resolved;
+    p.trials = trials;
+    p.every = checkpoint_every;
+    p.resume = resume;
+    session = std::make_unique<sim::CheckpointSession>(std::move(p));
+  }
   sim::GuardedResult result;
-  if (!supervised && checkpoint.empty() && policy.max_trial_failures == 0 &&
-      policy.trial_timeout_ms == 0.0) {
-    // No robustness flags: the historical path, byte-identical output.
-    result.metrics = sim::run_many_parallel(s, trials, threads, progress);
+  if (supervised) {
+    platform::SupervisorOptions sup;
+    sup.shards = shards;
+    sup.shard_mem_mb = shard_mem_mb;
+    sup.shard_cpu_s = shard_cpu_s;
+    sup.shard_retries = shard_retries;
+    sup.heartbeat_timeout_ms = heartbeat_timeout_ms;
+    sup.checkpoint_path = checkpoint;
+    sup.checkpoint_every = checkpoint_every;
+    sup.resume = resume;
+    sup.config_hash = config_hash;
+    sup.seed = s.seed;
+    result = platform::run_many_supervised(s, trials, sup, policy,
+                                           session.get(), /*point=*/0,
+                                           progress);
   } else {
-    // A supervised run partitions by shard instead of thread; the binding
-    // is the same (partition width), so in-process and supervised
-    // checkpoints are interchangeable at matching counts.
-    const unsigned resolved =
-        supervised ? platform::resolve_shards(shards, trials)
-                   : rit::resolve_threads(threads, trials);
-    std::uint64_t config_hash = 0;
-    std::unique_ptr<sim::CheckpointSession> session;
-    if (!checkpoint.empty()) {
-      // Bind the checkpoint to the full scenario (serialized config), the
-      // trial count and the mechanism RNG stream; resuming under any other
-      // setup must refuse.
-      std::ostringstream cfg;
-      sim::write_scenario(s, cfg);
-      cfg << "trials " << trials << "\n";
-      cfg << "stream " << core::kMechanismStreamVersion << "\n";
-      config_hash = fnv1a64(cfg.str());
-      sim::CheckpointSession::Params p;
-      p.path = checkpoint;
-      p.config_hash = config_hash;
-      p.seed = s.seed;
-      p.threads = resolved;
-      p.trials = trials;
-      p.every = checkpoint_every;
-      p.resume = resume;
-      session = std::make_unique<sim::CheckpointSession>(std::move(p));
-    }
-    if (supervised) {
-      platform::SupervisorOptions sup;
-      sup.shards = shards;
-      sup.shard_mem_mb = shard_mem_mb;
-      sup.shard_cpu_s = shard_cpu_s;
-      sup.shard_retries = shard_retries;
-      sup.heartbeat_timeout_ms = heartbeat_timeout_ms;
-      sup.checkpoint_path = checkpoint;
-      sup.checkpoint_every = checkpoint_every;
-      sup.resume = resume;
-      sup.config_hash = config_hash;
-      sup.seed = s.seed;
-      result = platform::run_many_supervised(s, trials, sup, policy,
-                                             session.get(), /*point=*/0,
-                                             progress);
-    } else {
-      result = sim::run_many_guarded(s, trials, resolved, policy,
-                                     session.get(), /*point=*/0, progress);
-    }
+    result = sim::run_many_guarded(s, trials, resolved, policy, session.get(),
+                                   /*point=*/0, progress);
   }
   const sim::AggregateMetrics& agg = result.metrics;
   cli::Table t({"metric", "mean", "ci95", "min", "max"});
@@ -246,8 +241,8 @@ int mode_run(cli::Args& args) {
             << ", degraded-guarantee rate: "
             << format_double(agg.degraded_rate(), 3) << " over " << agg.trials
             << " trial(s)\n";
-  // Fault report only when something actually faulted: default runs keep
-  // their historical byte-identical output.
+  // Fault report only when something actually faulted, so a clean run
+  // prints the same bytes with or without the robustness flags.
   if (agg.failed_trials > 0 || agg.quarantined_trials > 0) {
     std::cout << "faults: " << agg.failed_trials << " failed, "
               << agg.quarantined_trials << " quarantined ("
