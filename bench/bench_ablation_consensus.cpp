@@ -102,9 +102,11 @@ int main(int argc, char** argv) {
   apply_options(opts, s);
 
   const ModeResult consensus =
-      run_mode(s, core::PriceMode::kConsensus, opts.trials, opts.threads);
+      run_mode(s, core::PriceMode::kConsensus, opts.trials,
+               opts.sweep_flags.threads);
   const ModeResult order =
-      run_mode(s, core::PriceMode::kOrderStatistic, opts.trials, opts.threads);
+      run_mode(s, core::PriceMode::kOrderStatistic, opts.trials,
+               opts.sweep_flags.threads);
 
   emit("Ablation — consensus rounding vs deterministic order-statistic price",
        opts,

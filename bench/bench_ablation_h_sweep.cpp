@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
       stats::OnlineStats budget_rounds;
       core::RitWorkspace ws;
     };
-    std::vector<Worker> workers(rit::resolve_threads(opts.threads, opts.trials));
+    std::vector<Worker> workers(
+        rit::resolve_threads(opts.sweep_flags.threads, opts.trials));
     sim::parallel_trials(
         opts.trials, workers, [&](Worker& wk, std::uint64_t t) {
           const sim::TrialInstance inst = sim::make_instance(comp, t);

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
       std::uint64_t successes{0};
       core::RitWorkspace ws;
     };
-    std::vector<Worker> workers(rit::resolve_threads(opts.threads, opts.trials));
+    std::vector<Worker> workers(
+        rit::resolve_threads(opts.sweep_flags.threads, opts.trials));
     sim::parallel_trials(
         opts.trials, workers, [&](Worker& wk, std::uint64_t trial) {
           rng::Rng graph_rng(s.trial_seed(trial, 0));

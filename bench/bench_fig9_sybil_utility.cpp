@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
 
   attack::SybilExperimentConfig config;
   config.trials = opts.trials;
-  config.threads = opts.threads;
+  config.threads = opts.sweep_flags.threads;
 
   std::vector<std::vector<double>> rows;
   for (const attack::SybilSeriesPoint& point : attack::run_sybil_experiment(s, config)) {

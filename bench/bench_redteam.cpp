@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
 
   attack::SearchSpace space;
   space.trials = opts.trials;
-  space.threads = opts.threads;
+  space.threads = opts.sweep_flags.threads;
 
   std::vector<std::vector<double>> rows;
   int config_index = 0;

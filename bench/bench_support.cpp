@@ -18,7 +18,6 @@
 #include "obs/obs.h"
 #include "obs/perf_counters.h"
 #include "obs/trace_export.h"
-#include "platform/supervisor.h"
 
 namespace rit::bench {
 
@@ -32,7 +31,6 @@ BenchOptions parse_options(int argc, char** argv, const std::string& name,
   opts.points = static_cast<std::uint32_t>(args.get_u64("points", 5));
   opts.seed = args.get_u64("seed", 42);
   opts.graph = sim::parse_graph_kind(args.get_string("graph", "ba"));
-  opts.threads = static_cast<unsigned>(args.get_u64("threads", 0));
   opts.intra_threads =
       static_cast<unsigned>(args.get_u64("intra-threads", 1));
   opts.theoretical = args.get_bool("theoretical", false);
@@ -43,18 +41,7 @@ BenchOptions parse_options(int argc, char** argv, const std::string& name,
   opts.csv_path = csv == "none" ? "" : csv;
   opts.trace_path = args.get_string("trace-out", "");
   opts.metrics_path = args.get_string("metrics-out", "");
-  opts.max_trial_failures = args.get_u64("max-trial-failures", 0);
-  opts.trial_timeout_ms = args.get_double("trial-timeout-ms", 0.0);
-  opts.checkpoint_path = args.get_string("checkpoint", "");
-  opts.checkpoint_every = args.get_u64("checkpoint-every", 0);
-  opts.resume = args.get_bool("resume", false);
-  opts.supervised = args.get_bool("supervised", false);
-  opts.shards = static_cast<unsigned>(args.get_u64("shards", 0));
-  opts.shard_mem_mb = args.get_u64("shard-mem-mb", 0);
-  opts.shard_cpu_s = args.get_u64("shard-cpu-s", 0);
-  opts.shard_retries =
-      static_cast<unsigned>(args.get_u64("shard-retries", 2));
-  opts.heartbeat_timeout_ms = args.get_u64("heartbeat-timeout-ms", 0);
+  opts.sweep_flags = cli::parse_sweep_flags(args);
   const std::string summary =
       args.get_string("json", "bench_results/BENCH_" + name + ".json");
   opts.summary_path = summary == "none" ? "" : summary;
@@ -74,18 +61,6 @@ BenchOptions parse_options(int argc, char** argv, const std::string& name,
   RIT_CHECK_MSG(opts.scale >= 1.0, "--scale must be >= 1");
   RIT_CHECK_MSG(opts.points >= 2, "--points must be >= 2");
   RIT_CHECK_MSG(opts.trials >= 1, "--trials must be >= 1");
-  RIT_CHECK_MSG(opts.checkpoint_path.empty() ? !opts.resume : true,
-                "--resume requires --checkpoint=PATH");
-  RIT_CHECK_MSG(opts.checkpoint_path.empty() ? opts.checkpoint_every == 0
-                                             : true,
-                "--checkpoint-every requires --checkpoint=PATH");
-  RIT_CHECK_MSG(opts.trial_timeout_ms >= 0.0,
-                "--trial-timeout-ms must be >= 0");
-  RIT_CHECK_MSG(opts.supervised ||
-                    (opts.shards == 0 && opts.shard_mem_mb == 0 &&
-                     opts.shard_cpu_s == 0 && opts.heartbeat_timeout_ms == 0),
-                "--shards/--shard-mem-mb/--shard-cpu-s/"
-                "--heartbeat-timeout-ms require --supervised");
 
   // Record every span from here on; finish() turns this into the per-phase
   // breakdown. When the build has RIT_OBS_ENABLED=0 the trace simply stays
@@ -144,11 +119,12 @@ std::uint64_t sweep_config_hash(const BenchOptions& opts) {
   field(opts.theoretical ? "theoretical" : "run-to-completion");
   field(opts.paper_ratio ? "paper-ratio" : "-");
   field(opts.paper_kmax ? "paper-kmax" : "-");
-  field(format_u64(opts.max_trial_failures));
-  field(format_double(opts.trial_timeout_ms, 6));
-  // --threads and --intra-threads are deliberately NOT hashed: both knobs
-  // are bit-identical by construction (fixed partition, fixed merge order),
-  // so a checkpoint written at one setting resumes correctly at another.
+  field(format_u64(opts.sweep_flags.max_trial_failures));
+  field(format_double(opts.sweep_flags.trial_timeout_ms, 6));
+  // --threads, --supervised and --intra-threads are deliberately NOT
+  // hashed: the session binds the partition width itself, the executors
+  // are bit-identical at one width, and --intra-threads is bit-identical
+  // at any setting.
   field("stream " + format_u64(core::kMechanismStreamVersion));
   return fnv1a64(fp);
 }
@@ -157,48 +133,10 @@ sim::AggregateMetrics run_point(
     const BenchOptions& opts, const sim::Scenario& scenario,
     const std::function<void(std::uint64_t, std::uint64_t)>& progress) {
   SweepState& sweep = *opts.sweep;
-  // Supervised runs partition by shard instead of thread; both knobs bind
-  // the checkpoint the same way (partition width), so a checkpoint written
-  // in-process at --threads=K resumes supervised at --shards=K and vice
-  // versa — the partition, fold order, and merge order are identical.
-  const unsigned resolved =
-      opts.supervised ? rit::resolve_threads(opts.shards, opts.trials)
-                      : rit::resolve_threads(opts.threads, opts.trials);
-  if (!opts.checkpoint_path.empty() && !sweep.session) {
-    sim::CheckpointSession::Params p;
-    p.path = opts.checkpoint_path;
-    p.config_hash = sweep_config_hash(opts);
-    p.seed = opts.seed;
-    p.threads = resolved;
-    p.trials = opts.trials;
-    p.every = opts.checkpoint_every;
-    p.resume = opts.resume;
-    sweep.session = std::make_unique<sim::CheckpointSession>(std::move(p));
-  }
-  sim::GuardPolicy policy;
-  policy.max_trial_failures = opts.max_trial_failures;
-  policy.trial_timeout_ms = opts.trial_timeout_ms;
-  sim::GuardedResult r;
-  if (opts.supervised) {
-    platform::SupervisorOptions sup;
-    sup.shards = opts.shards;
-    sup.shard_mem_mb = opts.shard_mem_mb;
-    sup.shard_cpu_s = opts.shard_cpu_s;
-    sup.shard_retries = opts.shard_retries;
-    sup.heartbeat_timeout_ms = opts.heartbeat_timeout_ms;
-    sup.checkpoint_path = opts.checkpoint_path;
-    sup.checkpoint_every = opts.checkpoint_every;
-    sup.resume = opts.resume;
-    sup.config_hash = sweep_config_hash(opts);
-    sup.seed = opts.seed;
-    r = platform::run_many_supervised(scenario, opts.trials, sup, policy,
-                                      sweep.session.get(), sweep.next_point,
-                                      progress);
-  } else {
-    r = sim::run_many_guarded(scenario, opts.trials, resolved, policy,
-                              sweep.session.get(), sweep.next_point,
-                              progress);
-  }
+  const sim::GuardedResult r = cli::run_sweep_point(
+      opts.sweep_flags, scenario, opts.trials,
+      {sweep_config_hash(opts), opts.seed}, sweep.session, sweep.next_point,
+      progress);
   ++sweep.next_point;
   sweep.faults.merge(r.faults);
   return r.metrics;
@@ -212,12 +150,9 @@ void emit(const std::string& title, const BenchOptions& opts,
             << " graph=" << sim::to_string(opts.graph)
             << (opts.theoretical ? " budget=theoretical"
                                  : " budget=run-to-completion")
-            << " threads=" << rit::resolve_threads(opts.threads, opts.trials);
-  if (opts.supervised) {
-    std::cout << " supervised shards="
-              << platform::resolve_shards(opts.shards, opts.trials);
-  }
-  std::cout << ")\n";
+            << " threads="
+            << rit::resolve_threads(opts.sweep_flags.threads, opts.trials)
+            << (opts.sweep_flags.supervised ? " supervised" : "") << ")\n";
   cli::Table table(header);
   for (const auto& row : rows) table.add_numeric_row(row, precision);
   table.print(std::cout);
@@ -274,8 +209,9 @@ void write_summary_json(const BenchOptions& opts, double wall_ms,
       << ", \"seed\": " << opts.seed << ", \"graph\": \""
       << sim::to_string(opts.graph) << "\", \"budget\": \""
       << (opts.theoretical ? "theoretical" : "run-to-completion")
-      << "\", \"threads\": " << opts.threads << ", \"threads_resolved\": "
-      << rit::resolve_threads(opts.threads, opts.trials)
+      << "\", \"threads\": " << opts.sweep_flags.threads
+      << ", \"threads_resolved\": "
+      << rit::resolve_threads(opts.sweep_flags.threads, opts.trials)
       << ", \"intra_threads\": " << opts.intra_threads << "},\n";
   out << "  \"wall_ms\": " << format_double(wall_ms, 3) << ",\n";
   out << "  \"dropped_spans\": " << obs::dropped_spans() << ",\n";
@@ -427,7 +363,7 @@ void finish(const BenchOptions& opts) {
     rec.bench = opts.name;
     rec.env = obs::collect_env_fingerprint();
     rec.threads = static_cast<std::uint32_t>(
-        rit::resolve_threads(opts.threads, opts.trials));
+        rit::resolve_threads(opts.sweep_flags.threads, opts.trials));
     rec.trials = opts.trials;
     rec.scale = opts.scale;
     rec.points = opts.points;

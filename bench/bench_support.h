@@ -7,12 +7,6 @@
 //   --points=P    sweep points between the paper's endpoints (default 5)
 //   --seed=X      base seed
 //   --graph=K     social graph family: ba|er|ws|star|path (default ba)
-//   --threads=N   worker threads for the trial fan-out (default 0 =
-//                 hardware concurrency; 1 runs every trial in order on the
-//                 calling thread). Trials are seeded independently and
-//                 merged in a fixed order, so counts/min/max/success rates
-//                 are identical for every N; means agree to ~1e-12 (Welford
-//                 merge-order rounding — see EXPERIMENTS.md)
 //   --intra-threads=N  worker threads INSIDE each trial (spanning-forest
 //                 wave scan, payment prefix pass; default
 //                 1; 0 = hardware concurrency). Unlike --threads this does
@@ -25,36 +19,14 @@
 //   --theoretical use the paper's literal round budget instead of
 //                 run-to-completion (see DESIGN.md ambiguity #3)
 //
-// Robustness (see docs/robustness.md):
-//   --max-trial-failures=N  tolerate up to N faulted trials per sweep point
-//                           (quarantined into the fault ledger; default 0 =
-//                           the first fault aborts, the historical behavior)
-//   --trial-timeout-ms=T    post-hoc per-trial watchdog (0 = off)
-//   --checkpoint=PATH       durable sweep checkpoint, written atomically
-//   --checkpoint-every=K    also checkpoint every K trials within a point
-//                           (0 = only at point boundaries)
-//   --resume                resume from --checkpoint (refuses on any
-//                           config/seed/thread mismatch); resumed sweeps are
-//                           bit-identical to uninterrupted ones
-//
-// Process isolation (see docs/robustness.md, "Process isolation &
-// supervision"):
-//   --supervised            run each sweep point through the shard
-//                           supervisor: K forked worker processes, one per
-//                           residue class, monitored for signal deaths,
-//                           OOM kills, and hangs. Bit-identical to the
-//                           in-process engine at --threads=K.
-//   --shards=K              worker processes (default 0 = hardware
-//                           concurrency; replaces --threads when
-//                           supervised)
-//   --shard-mem-mb=M        per-shard RLIMIT_AS budget in MB (0 = off)
-//   --shard-cpu-s=S         per-shard RLIMIT_CPU budget in seconds (0 = off)
-//   --shard-retries=R       worker deaths tolerated per shard before the
-//                           shard is quarantined and the sweep aborts
-//                           (default 2); relaunches back off exponentially
-//   --heartbeat-timeout-ms=T  SIGKILL a shard whose heartbeat stalls for T
-//                           ms (0 = watchdog off); with --checkpoint the
-//                           relaunch resumes from the shard's last cut
+// Sweep flags (cli/sweep.h documents each; see docs/robustness.md):
+// --threads=K is the partition width of the trial fan-out, K worker
+// threads or K forked shards under --supervised. Trials are seeded
+// independently and merged in a fixed order, so counts/min/max/success
+// rates are identical for every K; means agree to ~1e-12 (Welford
+// merge-order rounding — see EXPERIMENTS.md). The robustness flags
+// (--max-trial-failures, --checkpoint, --resume, --shard-*, ...) never
+// change the output bytes.
 //
 // Observability (see docs/observability.md):
 //   --trace-out=PATH    write a Chrome-trace / Perfetto JSON of every span
@@ -81,6 +53,7 @@
 
 #include "cli/args.h"
 #include "cli/csv.h"
+#include "cli/sweep.h"
 #include "cli/table.h"
 #include "sim/guarded.h"
 #include "sim/metrics.h"
@@ -103,9 +76,6 @@ struct BenchOptions {
   std::uint32_t points{5};
   std::uint64_t seed{42};
   sim::GraphKind graph{sim::GraphKind::kBarabasiAlbert};
-  /// Worker threads for the trial fan-out (0 = hardware concurrency,
-  /// 1 = every trial in order on the calling thread).
-  unsigned threads{0};
   /// Worker threads inside each trial (0 = hardware concurrency, 1 =
   /// serial). Bit-identical at any setting — see docs/scaling.md.
   unsigned intra_threads{1};
@@ -131,22 +101,8 @@ struct BenchOptions {
   /// Steady-clock ns at parse_options; finish() measures end-to-end from it.
   std::uint64_t start_ns{0};
 
-  /// Fault tolerance (--max-trial-failures, --trial-timeout-ms); defaults
-  /// preserve the historical strict behavior.
-  std::uint64_t max_trial_failures{0};
-  double trial_timeout_ms{0.0};
-  /// Checkpoint/resume (--checkpoint, --checkpoint-every, --resume).
-  std::string checkpoint_path;  // empty = disabled
-  std::uint64_t checkpoint_every{0};
-  bool resume{false};
-  /// Process isolation (--supervised and friends); see
-  /// platform::SupervisorOptions for the semantics of each knob.
-  bool supervised{false};
-  unsigned shards{0};
-  std::uint64_t shard_mem_mb{0};
-  std::uint64_t shard_cpu_s{0};
-  unsigned shard_retries{2};
-  std::uint64_t heartbeat_timeout_ms{0};
+  /// --threads and the robustness flags (cli/sweep.h).
+  cli::SweepFlags sweep_flags;
 
   /// Shared across copies: run_point() advances it, finish() reports it.
   std::shared_ptr<SweepState> sweep{std::make_shared<SweepState>()};
@@ -174,13 +130,13 @@ std::vector<std::uint32_t> linspace(std::uint32_t lo, std::uint32_t hi,
 /// results, so the session refuses.
 std::uint64_t sweep_config_hash(const BenchOptions& opts);
 
-/// Runs one sweep point (opts.trials trials of `scenario`) through the
-/// guarded engine (or, with --supervised, the shard supervisor), honoring
-/// the robustness flags: faults are quarantined within the failure budget,
-/// and with --checkpoint each point is durably saved (and skipped on
-/// --resume when already complete). The flags never change the output
-/// bytes. Every bench sweep loop calls this; points must be run in a fixed
-/// order for the checkpoint's point index to be meaningful.
+/// Runs the next sweep point (opts.trials trials of `scenario`) through
+/// cli::run_sweep_point, bound to sweep_config_hash(opts) and opts.seed:
+/// faults are quarantined within the failure budget, and with --checkpoint
+/// each point is durably saved (and skipped on --resume when already
+/// complete). The flags never change the output bytes. Every bench sweep
+/// loop calls this; points must be run in a fixed order for the
+/// checkpoint's point index to be meaningful.
 sim::AggregateMetrics run_point(
     const BenchOptions& opts, const sim::Scenario& scenario,
     const std::function<void(std::uint64_t, std::uint64_t)>& progress = {});

@@ -72,7 +72,7 @@ struct ShardSlot {
   std::uint64_t local_trials{0};
   BreadcrumbPage* page{nullptr};
 
-  // Durable state ("" = checkpointing off for this run).
+  // Durable state ("" = no parent session, so no shard checkpoints).
   std::string path;
   std::uint64_t shard_hash{0};
 
@@ -126,13 +126,16 @@ struct FleetGuard {
   }
 };
 
-std::uint64_t shard_config_hash(const SupervisorOptions& opts,
+/// Shard k's file binding, derived from the parent session's: it mixes in
+/// the shard, the point and the trial count, so a shard file can never
+/// resume the wrong sweep, point or shard.
+std::uint64_t shard_config_hash(const sim::CheckpointSession::Params& parent,
                                 std::uint64_t point, unsigned shard,
                                 unsigned shard_count, std::uint64_t trials) {
   std::ostringstream os;
   os << "shard " << shard << "/" << shard_count << " point " << point
-     << " trials " << trials << " hash " << opts.config_hash << " seed "
-     << opts.seed;
+     << " trials " << trials << " hash " << parent.config_hash << " seed "
+     << parent.seed;
   return fnv1a64(os.str());
 }
 
@@ -140,10 +143,9 @@ std::uint64_t shard_config_hash(const SupervisorOptions& opts,
 /// bindings -> resume, stale bindings (a previous grid point or sweep
 /// shape) -> unlink and start fresh. A *corrupt* file still throws — torn
 /// state is evidence of a bug, the same refusal the parent checkpoint has.
-void prepare_shard_file(const ShardSlot& slot, const SupervisorOptions& opts,
-                        bool resume) {
-  if (slot.path.empty()) return;
-  if (!resume) {
+void prepare_shard_file(const ShardSlot& slot,
+                        const sim::CheckpointSession::Params& parent) {
+  if (!parent.resume) {
     ::unlink(slot.path.c_str());
     return;
   }
@@ -153,7 +155,7 @@ void prepare_shard_file(const ShardSlot& slot, const SupervisorOptions& opts,
   content << in.rdbuf();
   const sim::CheckpointData data =
       sim::parse_checkpoint(content.str(), slot.path);
-  if (data.config_hash != slot.shard_hash || data.seed != opts.seed ||
+  if (data.config_hash != slot.shard_hash || data.seed != parent.seed ||
       data.threads != 1 || data.trials != slot.local_trials) {
     ::unlink(slot.path.c_str());
   }
@@ -178,7 +180,8 @@ bool drain_pipe(ShardSlot& slot) {
 void launch_shard(ShardSlot& slot, std::uint64_t trials, unsigned shard_count,
                   const SupervisorOptions& opts,
                   const sim::GuardPolicy& policy, const sim::TrialBody& body,
-                  const sim::TrialSeedFn& seed_of) {
+                  const sim::TrialSeedFn& seed_of,
+                  const sim::CheckpointSession* session) {
   int fds[2];
   RIT_CHECK_MSG(::pipe(fds) == 0,
                 "pipe() for shard " << slot.shard
@@ -208,14 +211,14 @@ void launch_shard(ShardSlot& slot, std::uint64_t trials, unsigned shard_count,
   job.chaos = chaos;
   job.body = &body;
   job.seed_of = &seed_of;
-  if (!slot.path.empty()) {
+  if (session != nullptr) {
     job.use_session = true;
     job.session.path = slot.path;
     job.session.config_hash = slot.shard_hash;
-    job.session.seed = opts.seed;
+    job.session.seed = session->params().seed;
     job.session.threads = 1;
     job.session.trials = slot.local_trials;
-    job.session.every = opts.checkpoint_every;
+    job.session.every = session->params().every;
     // Always resume inside the child: the parent already discarded stale
     // or unwanted files, so whatever survives is this run's own cut.
     job.session.resume = true;
@@ -291,10 +294,6 @@ std::string death_reason(const ShardSlot& slot, int status,
 
 }  // namespace
 
-unsigned resolve_shards(unsigned shards, std::uint64_t trials) {
-  return rit::resolve_threads(shards, trials);
-}
-
 sim::GuardedResult run_trials_supervised(std::uint64_t trials,
                                          const SupervisorOptions& opts,
                                          const sim::GuardPolicy& policy,
@@ -303,7 +302,7 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
                                          sim::CheckpointSession* session,
                                          std::uint64_t point,
                                          const sim::ProgressFn& progress) {
-  const unsigned shard_count = resolve_shards(opts.shards, trials);
+  const unsigned shard_count = rit::resolve_threads(opts.shards, trials);
   if (session != nullptr) {
     // Same contract as the in-process runner: the partition — and so the
     // resumable/checkable state — binds to the resolved shard count.
@@ -319,8 +318,6 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
     sim::GuardedResult done;
     if (session->completed_point(point, &done)) return done;
   }
-  RIT_CHECK_MSG(opts.checkpoint_every == 0 || !opts.checkpoint_path.empty(),
-                "--shard checkpointing wants a checkpoint path");
 
   SharedPages pages(shard_count);
   std::vector<ShardSlot> slots(shard_count);
@@ -329,11 +326,11 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
     s.shard = k;
     s.local_trials = shard_trial_count(trials, k, shard_count);
     s.page = pages.pages + k;
-    if (!opts.checkpoint_path.empty()) {
-      s.path = opts.checkpoint_path + ".shard" + std::to_string(k);
-      s.shard_hash =
-          shard_config_hash(opts, point, k, shard_count, trials);
-      prepare_shard_file(s, opts, opts.resume);
+    if (session != nullptr) {
+      s.path = session->params().path + ".shard" + std::to_string(k);
+      s.shard_hash = shard_config_hash(session->params(), point, k,
+                                       shard_count, trials);
+      prepare_shard_file(s, session->params());
     }
   }
 
@@ -388,7 +385,8 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
       // Launch (or relaunch once the backoff elapsed) every due shard.
       if (!s.completed && s.pid < 0 && s.pending &&
           s.backoff_timer.elapsed_ms() >= s.backoff_wait_ms) {
-        launch_shard(s, trials, shard_count, opts, policy, body, seed_of);
+        launch_shard(s, trials, shard_count, opts, policy, body, seed_of,
+                     session);
       }
     }
     if (all_completed) break;

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "sim/checkpoint.h"
 #include "sim/guarded.h"
@@ -32,8 +31,9 @@ namespace rit::platform {
 
 struct SupervisorOptions {
   /// Worker processes (0 = hardware concurrency, clamped to the trial
-  /// count like resolve_threads). This takes the role threads has for the
-  /// in-process runner: the partition — and so the bits — bind to it.
+  /// count by resolve_threads). This is the partition width, the same one
+  /// `threads` is for the in-process runner: the bits bind to it, and the
+  /// sweep flags set it from --threads.
   unsigned shards{0};
   /// Per-shard memory budget in MB, enforced as RLIMIT_AS (0 = unlimited).
   std::uint64_t shard_mem_mb{0};
@@ -48,34 +48,21 @@ struct SupervisorOptions {
   /// Declare a shard hung when its heartbeat does not advance for this
   /// long, and SIGKILL it (0 = watchdog off).
   std::uint64_t heartbeat_timeout_ms{0};
-  /// Durable shard state: each shard k checkpoints to
-  /// `<checkpoint_path>.shard<k>` every `checkpoint_every` trials, so a
-  /// relaunch resumes from the shard's last cut instead of replaying.
-  /// Empty = no durable state (retries replay the whole shard —
-  /// deterministic either way).
-  std::string checkpoint_path;
-  std::uint64_t checkpoint_every{0};
-  /// Resume shard files from a previous supervised run (stale files —
-  /// config-hash mismatch from an earlier grid point — are discarded).
-  bool resume{false};
-  /// Sweep config hash + seed, mixed into each shard file's binding so a
-  /// shard checkpoint can never resume the wrong sweep/point/shard.
-  std::uint64_t config_hash{0};
-  std::uint64_t seed{0};
 };
-
-/// The resolved shard count `opts.shards` yields for `trials` trials
-/// (resolve_threads semantics — the supervised analogue of a resolved
-/// thread count, exposed so callers can bind checkpoint sessions to it).
-unsigned resolve_shards(unsigned shards, std::uint64_t trials);
 
 /// Supervised analogue of run_trials_guarded: same body/seed contract,
 /// same result, same abort semantics (CheckFailure), but each residue
 /// class runs in its own forked process. `session`, when non-null, is the
-/// *parent* sweep session (bound to threads == resolved shard count): the
-/// supervisor consults completed_point, calls complete_point, and flushes
-/// `.aborted` forensics through it; the per-shard durable state lives in
-/// the sibling `.shard<k>` files named by `opts.checkpoint_path`.
+/// *parent* sweep session (bound to threads == resolved shard count) and
+/// the only place the sweep's durability binding lives: the supervisor
+/// consults completed_point, calls complete_point, and flushes `.aborted`
+/// forensics through it, and each shard k checkpoints to the sibling
+/// `<path>.shard<k>` every `every` trials (the session's params), bound to
+/// the session's config hash and seed, so a relaunch resumes from the
+/// shard's last cut instead of replaying. With `resume`, shard files of a
+/// previous run are picked up (stale ones are discarded). Without a
+/// session, shards keep no durable state and a retry replays the whole
+/// shard (deterministic either way).
 sim::GuardedResult run_trials_supervised(std::uint64_t trials,
                                          const SupervisorOptions& opts,
                                          const sim::GuardPolicy& policy,

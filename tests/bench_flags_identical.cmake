@@ -1,7 +1,8 @@
-# Runs one figure bench twice at a pinned seed: once with no robustness
-# flags, once with --checkpoint and --max-trial-failures. Both runs go
-# through the same guarded sweep engine, so on a clean run the two CSVs
-# must be byte-identical.
+# Runs one figure bench three times at a pinned seed and --threads=2: with
+# no robustness flags, with --checkpoint and --max-trial-failures, and
+# --supervised. The first two go through the same guarded sweep engine,
+# and the forked shard supervisor partitions by the same --threads width,
+# so on a clean run all three CSVs must be byte-identical.
 #
 #   cmake -DBENCH=<bench executable> -DWORK_DIR=<scratch dir>
 #         -P bench_flags_identical.cmake
@@ -29,12 +30,15 @@ endfunction()
 
 run_bench(plain)
 run_bench(flags --checkpoint=${WORK_DIR}/sweep.ckpt --max-trial-failures=1)
+run_bench(supervised --supervised)
 
-execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files
-    ${WORK_DIR}/plain.csv ${WORK_DIR}/flags.csv
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "robustness flags changed the CSV: "
-    "${WORK_DIR}/plain.csv vs ${WORK_DIR}/flags.csv")
-endif()
+foreach(label flags supervised)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+      ${WORK_DIR}/plain.csv ${WORK_DIR}/${label}.csv
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${label} run changed the CSV: "
+      "${WORK_DIR}/plain.csv vs ${WORK_DIR}/${label}.csv")
+  endif()
+endforeach()

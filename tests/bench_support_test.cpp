@@ -25,7 +25,7 @@ BenchOptions pinned_options() {
   o.scale = 20.0;
   o.points = 2;
   o.seed = 42;
-  o.threads = 1;
+  o.sweep_flags.threads = 1;  // the width in process and supervised
   return o;
 }
 
@@ -54,7 +54,7 @@ std::string write_checkpoint(const std::string& name,
   p.seed = opts.seed;
   p.threads = 1;
   p.trials = opts.trials;
-  p.every = opts.checkpoint_every;
+  p.every = opts.sweep_flags.checkpoint_every;
   p.resume = false;
   sim::CheckpointSession session(p);
   session.complete_point(0, sim::GuardedResult{stored_point(), {}});
@@ -82,11 +82,10 @@ TEST(SweepConfigHash, OldStreamCheckpointIsRefusedOnResume) {
       SCOPED_TRACE(supervised ? "supervised" : "in-process");
       SCOPED_TRACE(old_hash == kStreamOneHash ? "stream 1" : "stream 2");
       BenchOptions opts = pinned_options();
-      opts.supervised = supervised;
-      opts.shards = 1;
-      opts.checkpoint_path = write_checkpoint(
+      opts.sweep_flags.supervised = supervised;
+      opts.sweep_flags.checkpoint_path = write_checkpoint(
           supervised ? "old_supervised" : "old_inproc", opts, old_hash);
-      opts.resume = true;
+      opts.sweep_flags.resume = true;
       try {
         run_point(opts, sim::Scenario{});
         FAIL() << "a checkpoint of an old stream was resumed";
@@ -102,9 +101,9 @@ TEST(SweepConfigHash, OldStreamCheckpointIsRefusedOnResume) {
 
 TEST(SweepConfigHash, CurrentStreamCheckpointResumes) {
   BenchOptions opts = pinned_options();
-  opts.checkpoint_path =
+  opts.sweep_flags.checkpoint_path =
       write_checkpoint("current", opts, sweep_config_hash(opts));
-  opts.resume = true;
+  opts.sweep_flags.resume = true;
   // The point is already complete: it is served from the checkpoint, not
   // re-run, so the stored aggregate comes back bit for bit.
   const sim::AggregateMetrics got = run_point(opts, sim::Scenario{});

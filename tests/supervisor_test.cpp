@@ -92,6 +92,18 @@ sim::Scenario small_scenario() {
   return s;
 }
 
+/// A fresh parent session in `dir` checkpointing every trial, bound to
+/// `width` shards and `trials`: it gives each shard durable state.
+sim::CheckpointSession::Params every_trial(const fs::path& dir, unsigned width,
+                                           std::uint64_t trials) {
+  sim::CheckpointSession::Params p;
+  p.path = (dir / "sweep.ckpt").string();
+  p.threads = width;
+  p.trials = trials;
+  p.every = 1;
+  return p;
+}
+
 /// Ledger entries the supervisor appended for recovered worker deaths.
 std::vector<TrialFault> worker_deaths(const GuardedResult& r) {
   std::vector<TrialFault> out;
@@ -167,13 +179,12 @@ TEST(Supervisor, SignalDeathMatrixRecoversBitIdentical) {
       SupervisorOptions opts;
       opts.shards = shards;
       opts.backoff_ms = 10;
-      opts.checkpoint_path = (dir / "sweep.ckpt").string();
-      opts.checkpoint_every = 1;
+      sim::CheckpointSession session(every_trial(dir, shards, trials));
       GuardPolicy policy;
       policy.chaos.signal_on_trial = kill_at;
       policy.chaos.signal_number = sig;
       const GuardedResult supervised = run_trials_supervised(
-          trials, opts, policy, synthetic_body(), seed_of);
+          trials, opts, policy, synthetic_body(), seed_of, &session);
 
       expect_aggregate_identical(supervised.metrics, reference.metrics);
       const std::vector<TrialFault> deaths = worker_deaths(supervised);
@@ -203,20 +214,19 @@ TEST(Supervisor, DeathAtFirstAndLastTrialRecovers) {
     SupervisorOptions opts;
     opts.shards = 2;
     opts.backoff_ms = 10;
-    opts.checkpoint_path = (dir / "sweep.ckpt").string();
-    opts.checkpoint_every = 1;
+    sim::CheckpointSession session(every_trial(dir, 2, trials));
     GuardPolicy policy;
     policy.chaos.signal_on_trial = kill_at;
     policy.chaos.signal_number = SIGKILL;
     const GuardedResult supervised = run_trials_supervised(
-        trials, opts, policy, synthetic_body(), seed_of);
+        trials, opts, policy, synthetic_body(), seed_of, &session);
     expect_aggregate_identical(supervised.metrics, reference.metrics);
     EXPECT_EQ(worker_deaths(supervised).size(), 1u);
   }
 }
 
 TEST(Supervisor, RetryWorksWithoutDurableState) {
-  // No checkpoint path: the relaunched shard replays its residue class from
+  // No parent session: the relaunched shard replays its residue class from
   // trial 0 — still deterministic, so the recovered run stays bit-identical.
   const std::uint64_t trials = 10;
   const GuardedResult reference = sim::run_trials_guarded(
@@ -245,12 +255,11 @@ TEST(Supervisor, OomUnderRlimitIsAttributedAndRecovered) {
   opts.shards = 2;
   opts.backoff_ms = 10;
   opts.shard_mem_mb = 512;
-  opts.checkpoint_path = (dir / "sweep.ckpt").string();
-  opts.checkpoint_every = 1;
+  sim::CheckpointSession session(every_trial(dir, 2, trials));
   GuardPolicy policy;
   policy.chaos.oom_on_trial = 3;
-  const GuardedResult supervised =
-      run_trials_supervised(trials, opts, policy, synthetic_body(), seed_of);
+  const GuardedResult supervised = run_trials_supervised(
+      trials, opts, policy, synthetic_body(), seed_of, &session);
   expect_aggregate_identical(supervised.metrics, reference.metrics);
   const std::vector<TrialFault> deaths = worker_deaths(supervised);
   ASSERT_EQ(deaths.size(), 1u);
@@ -271,12 +280,11 @@ TEST(Supervisor, HangWatchdogKillsAndRecovers) {
   opts.shards = 2;
   opts.backoff_ms = 10;
   opts.heartbeat_timeout_ms = 500;
-  opts.checkpoint_path = (dir / "sweep.ckpt").string();
-  opts.checkpoint_every = 1;
+  sim::CheckpointSession session(every_trial(dir, 2, trials));
   GuardPolicy policy;
   policy.chaos.hang_on_trial = 3;
-  const GuardedResult supervised =
-      run_trials_supervised(trials, opts, policy, synthetic_body(), seed_of);
+  const GuardedResult supervised = run_trials_supervised(
+      trials, opts, policy, synthetic_body(), seed_of, &session);
   expect_aggregate_identical(supervised.metrics, reference.metrics);
   const std::vector<TrialFault> deaths = worker_deaths(supervised);
   ASSERT_GE(deaths.size(), 1u);
@@ -297,15 +305,13 @@ TEST(Supervisor, QuarantineExhaustionAbortsAndFlushesForensics) {
   p.config_hash = 1234;
   p.threads = 2;  // == resolved shard count
   p.trials = trials;
+  p.every = 1;
   sim::CheckpointSession session(p);
 
   SupervisorOptions opts;
   opts.shards = 2;
   opts.backoff_ms = 10;
   opts.shard_retries = 1;
-  opts.checkpoint_path = ckpt;
-  opts.checkpoint_every = 1;
-  opts.config_hash = 1234;
   GuardPolicy policy;
   policy.chaos.signal_on_trial = 1;  // shard 1's first trial
   policy.chaos.signal_number = SIGKILL;
@@ -341,8 +347,8 @@ TEST(Supervisor, QuarantineExhaustionAbortsAndFlushesForensics) {
 
 TEST(Supervisor, InProcessCheckpointResumesSupervised) {
   // A sweep checkpointed by the in-process engine at --threads=K resumes
-  // under the supervisor at --shards=K: the binding is the partition width,
-  // which both engines share.
+  // under the supervisor at the same width K: the binding is the partition
+  // width, which both engines share.
   const std::uint64_t trials = 10;
   const fs::path dir = scratch("interchange");
   const std::string ckpt = (dir / "sweep.ckpt").string();
@@ -374,10 +380,6 @@ TEST(Supervisor, InProcessCheckpointResumesSupervised) {
   sim::CheckpointSession session(p);
   SupervisorOptions opts;
   opts.shards = 2;
-  opts.checkpoint_path = ckpt;
-  opts.checkpoint_every = 2;
-  opts.resume = true;
-  opts.config_hash = 77;
   const GuardedResult supervised = run_trials_supervised(
       trials, opts, GuardPolicy{}, synthetic_body(), seed_of, &session);
   expect_results_identical(supervised, reference);

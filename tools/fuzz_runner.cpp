@@ -114,8 +114,6 @@ CaseOutcome isolated_check(const FuzzCase& c) {
   rit::platform::SupervisorOptions opts;
   opts.shards = 1;
   opts.shard_retries = 0;
-  opts.config_hash = rit::testkit::case_hash(c);
-  opts.seed = c.mech_seed;
   const rit::sim::TrialBody body = [&c](std::uint64_t /*trial*/,
                                         rit::core::RitWorkspace& /*ws*/,
                                         std::string* phase) {

@@ -3,24 +3,23 @@
 // Modes:
 //   ritcs --mode=config
 //       Print a scenario config template (all keys, default values).
-//   ritcs --mode=run [--config=FILE] [--trials=N] [--threads=T]
+//   ritcs --mode=run [--config=FILE] [--trials=N] [--threads=K]
 //                    [--max-trial-failures=N] [--trial-timeout-ms=T]
 //                    [--checkpoint=PATH] [--checkpoint-every=K] [--resume]
-//                    [--supervised] [--shards=K] [--shard-mem-mb=M]
-//                    [--shard-cpu-s=S] [--shard-retries=R]
-//                    [--heartbeat-timeout-ms=T] [overrides...]
-//       Run a scenario and print aggregate metrics across trials, fanned
-//       out over T worker threads (0 = hardware concurrency, 1 = every
-//       trial in order on the calling thread). With --population=FILE
-//       (CSV: type,quantity,cost) runs one trial over your own user data
-//       instead of a synthetic population. The robustness flags
-//       (docs/robustness.md) quarantine faulted trials within a failure
-//       budget, watchdog slow trials, and checkpoint progress for
-//       bit-identical --resume. --supervised runs each residue class of
-//       trials in its own forked worker process under rlimit budgets: a
-//       worker that segfaults, OOMs, or hangs is recorded in the fault
-//       ledger and retried with backoff, resuming from its own checkpoint
-//       cut (docs/robustness.md).
+//                    [--supervised] [--shard-mem-mb=M] [--shard-cpu-s=S]
+//                    [--shard-retries=R] [--heartbeat-timeout-ms=T]
+//                    [overrides...]
+//       Run a scenario and print aggregate metrics across trials,
+//       partitioned K wide (0 = hardware concurrency, 1 = every trial in
+//       order on the calling thread): K worker threads, or K forked worker
+//       processes under --supervised, bit-identical at one K. With
+//       --population=FILE (CSV: type,quantity,cost) runs one trial over
+//       your own user data instead of a synthetic population. The sweep
+//       flags (cli/sweep.h, docs/robustness.md) quarantine faulted trials
+//       within a failure budget, watchdog slow trials, checkpoint progress
+//       for bit-identical --resume, and under --supervised record a worker
+//       that segfaults, OOMs, or hangs in the fault ledger and retry it
+//       with backoff from its own checkpoint cut.
 //   ritcs --mode=explain [--config=FILE] [--user=J] [overrides...]
 //       Run one trial and print the payment explanation for user J (or the
 //       user with the largest solicitation reward when J is omitted).
@@ -48,17 +47,16 @@
 #include "attack/sybil_apply.h"
 #include "attack/sybil_plan.h"
 #include "cli/args.h"
+#include "cli/sweep.h"
 #include "cli/table.h"
 #include "common/check.h"
 #include "common/format_util.h"
 #include "common/hash.h"
-#include "common/parallel.h"
 #include "core/audit.h"
 #include "core/result_io.h"
 #include "core/rit.h"
-#include "platform/supervisor.h"
+#include "sim/checkpoint.h"
 #include "sim/config_io.h"
-#include "sim/guarded.h"
 #include "sim/population_io.h"
 #include "sim/report.h"
 #include "sim/runner.h"
@@ -139,88 +137,26 @@ int run_with_population(const sim::Scenario& base, const std::string& path) {
 int mode_run(cli::Args& args) {
   const sim::Scenario s = scenario_from_args(args);
   const std::uint64_t trials = args.get_u64("trials", 5);
-  // 0 = hardware concurrency; 1 = every trial on the calling thread.
-  const auto threads = static_cast<unsigned>(args.get_u64("threads", 0));
   const std::string population = args.get_string("population", "");
-  sim::GuardPolicy policy;
-  policy.max_trial_failures = args.get_u64("max-trial-failures", 0);
-  policy.trial_timeout_ms = args.get_double("trial-timeout-ms", 0.0);
-  const std::string checkpoint = args.get_string("checkpoint", "");
-  const std::uint64_t checkpoint_every = args.get_u64("checkpoint-every", 0);
-  const bool resume = args.get_bool("resume", false);
-  const bool supervised = args.get_bool("supervised", false);
-  const auto shards = static_cast<unsigned>(args.get_u64("shards", 0));
-  const std::uint64_t shard_mem_mb = args.get_u64("shard-mem-mb", 0);
-  const std::uint64_t shard_cpu_s = args.get_u64("shard-cpu-s", 0);
-  const auto shard_retries =
-      static_cast<unsigned>(args.get_u64("shard-retries", 2));
-  const std::uint64_t heartbeat_timeout_ms =
-      args.get_u64("heartbeat-timeout-ms", 0);
+  const cli::SweepFlags flags = cli::parse_sweep_flags(args);
   args.finish();
-  RIT_CHECK_MSG(checkpoint.empty() ? !resume : true,
-                "--resume requires --checkpoint=PATH");
-  RIT_CHECK_MSG(checkpoint.empty() ? checkpoint_every == 0 : true,
-                "--checkpoint-every requires --checkpoint=PATH");
-  RIT_CHECK_MSG(policy.trial_timeout_ms >= 0.0,
-                "--trial-timeout-ms must be >= 0");
-  RIT_CHECK_MSG(supervised ||
-                    (shards == 0 && shard_mem_mb == 0 && shard_cpu_s == 0 &&
-                     heartbeat_timeout_ms == 0),
-                "--shards/--shard-mem-mb/--shard-cpu-s/"
-                "--heartbeat-timeout-ms require --supervised");
   if (!population.empty()) return run_with_population(s, population);
 
   const auto progress = [](std::uint64_t done, std::uint64_t total) {
     std::cerr << "\rtrial " << done << "/" << total << std::flush;
     if (done == total) std::cerr << "\n";
   };
-  // A supervised run partitions by shard instead of thread; the binding is
-  // the same (partition width), so in-process and supervised checkpoints
-  // are interchangeable at matching counts.
-  const unsigned resolved = supervised
-                                ? platform::resolve_shards(shards, trials)
-                                : rit::resolve_threads(threads, trials);
-  std::uint64_t config_hash = 0;
+  // Bind a checkpoint to the full scenario (serialized config), the trial
+  // count and the mechanism RNG stream; resuming under any other setup
+  // must refuse.
+  std::ostringstream cfg;
+  sim::write_scenario(s, cfg);
+  cfg << "trials " << trials << "\n";
+  cfg << "stream " << core::kMechanismStreamVersion << "\n";
   std::unique_ptr<sim::CheckpointSession> session;
-  if (!checkpoint.empty()) {
-    // Bind the checkpoint to the full scenario (serialized config), the
-    // trial count and the mechanism RNG stream; resuming under any other
-    // setup must refuse.
-    std::ostringstream cfg;
-    sim::write_scenario(s, cfg);
-    cfg << "trials " << trials << "\n";
-    cfg << "stream " << core::kMechanismStreamVersion << "\n";
-    config_hash = fnv1a64(cfg.str());
-    sim::CheckpointSession::Params p;
-    p.path = checkpoint;
-    p.config_hash = config_hash;
-    p.seed = s.seed;
-    p.threads = resolved;
-    p.trials = trials;
-    p.every = checkpoint_every;
-    p.resume = resume;
-    session = std::make_unique<sim::CheckpointSession>(std::move(p));
-  }
-  sim::GuardedResult result;
-  if (supervised) {
-    platform::SupervisorOptions sup;
-    sup.shards = shards;
-    sup.shard_mem_mb = shard_mem_mb;
-    sup.shard_cpu_s = shard_cpu_s;
-    sup.shard_retries = shard_retries;
-    sup.heartbeat_timeout_ms = heartbeat_timeout_ms;
-    sup.checkpoint_path = checkpoint;
-    sup.checkpoint_every = checkpoint_every;
-    sup.resume = resume;
-    sup.config_hash = config_hash;
-    sup.seed = s.seed;
-    result = platform::run_many_supervised(s, trials, sup, policy,
-                                           session.get(), /*point=*/0,
-                                           progress);
-  } else {
-    result = sim::run_many_guarded(s, trials, resolved, policy, session.get(),
-                                   /*point=*/0, progress);
-  }
+  const sim::GuardedResult result =
+      cli::run_sweep_point(flags, s, trials, {fnv1a64(cfg.str()), s.seed},
+                           session, /*point=*/0, progress);
   const sim::AggregateMetrics& agg = result.metrics;
   cli::Table t({"metric", "mean", "ci95", "min", "max"});
   const auto row = [&](const std::string& name, const stats::OnlineStats& st) {
