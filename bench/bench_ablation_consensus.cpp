@@ -93,7 +93,8 @@ ModeResult run_mode(const sim::Scenario& base, core::PriceMode mode,
 
 int main(int argc, char** argv) {
   const BenchOptions opts =
-      parse_options(argc, argv, "ablation_consensus", 40);
+      parse_options(argc, argv, "ablation_consensus", 40,
+                    SweepRoute::kThreadsOnly);
   sim::Scenario s;
   s.num_users = scaled(10000, opts.scale, 200);
   s.num_types = 4;

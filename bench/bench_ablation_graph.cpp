@@ -17,7 +17,8 @@
 int main(int argc, char** argv) {
   using namespace rit;
   using namespace rit::bench;
-  const BenchOptions opts = parse_options(argc, argv, "ablation_graph", 3);
+  const BenchOptions opts = parse_options(argc, argv, "ablation_graph", 3,
+                                          SweepRoute::kThreadsOnly);
 
   std::vector<std::vector<double>> rows;
   std::vector<std::string> labels;

@@ -20,7 +20,8 @@
 int main(int argc, char** argv) {
   using namespace rit;
   using namespace rit::bench;
-  const BenchOptions opts = parse_options(argc, argv, "ablation_gridbase", 5);
+  const BenchOptions opts = parse_options(argc, argv, "ablation_gridbase", 5,
+                                          SweepRoute::kThreadsOnly);
 
   std::vector<std::vector<double>> rows;
   for (const double base : {1.5, 2.0, 3.0, 4.0, 8.0}) {

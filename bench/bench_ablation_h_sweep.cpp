@@ -17,7 +17,8 @@
 int main(int argc, char** argv) {
   using namespace rit;
   using namespace rit::bench;
-  const BenchOptions opts = parse_options(argc, argv, "ablation_h_sweep", 3);
+  const BenchOptions opts = parse_options(argc, argv, "ablation_h_sweep", 3,
+                                          SweepRoute::kThreadsOnly);
 
   std::vector<std::vector<double>> rows;
   for (const double h : {0.5, 0.6, 0.7, 0.8, 0.9, 0.95}) {

@@ -19,7 +19,8 @@
 int main(int argc, char** argv) {
   using namespace rit;
   using namespace rit::bench;
-  const BenchOptions opts = parse_options(argc, argv, "ablation_supply", 5);
+  const BenchOptions opts = parse_options(argc, argv, "ablation_supply", 5,
+                                          SweepRoute::kThreadsOnly);
 
   sim::Scenario s;
   s.num_users = scaled(60000, opts.scale, 500);  // recruitment pool

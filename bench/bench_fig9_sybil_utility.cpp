@@ -29,7 +29,8 @@
 int main(int argc, char** argv) {
   using namespace rit;
   using namespace rit::bench;
-  const BenchOptions opts = parse_options(argc, argv, "fig9_sybil_utility", 30);
+  const BenchOptions opts = parse_options(argc, argv, "fig9_sybil_utility", 30,
+                                          SweepRoute::kThreadsOnly);
 
   sim::Scenario s;
   s.num_users = scaled(10000, opts.scale, 200);

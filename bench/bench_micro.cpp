@@ -28,6 +28,7 @@
 #include "graph/graph.h"
 #include "obs/obs.h"
 #include "rng/rng.h"
+#include "sim/runner.h"
 #include "tree/builders.h"
 
 // --- Heap-allocation counter ----------------------------------------------
@@ -406,6 +407,31 @@ void BM_FullRitSteadyState(benchmark::State& state) {
           : 0.0);
 }
 BENCHMARK(BM_FullRitSteadyState)->Arg(5000)->Arg(20000);
+
+// One serial trial instance of the paper's Sec. 7-A setup (BA graph, 10
+// initial joiners, k_j ~ U{1..20}): tree, population and job, the
+// instance half of a perfbench trial_1m op. BA with the seeds covering the
+// clique takes the growth-order forest, so no edge list, CSR or BFS.
+void BM_MakeInstanceBa(benchmark::State& state) {
+  sim::Scenario s;
+  s.num_users = static_cast<std::uint32_t>(state.range(0));
+  s.num_types = 10;
+  s.k_max = 20;
+  s.cost_max = 10.0;
+  s.tasks_per_type = s.num_users / 200;
+  s.initial_joiners = 10;
+  s.graph = sim::GraphKind::kBarabasiAlbert;
+  s.intra_threads = 1;
+  s.seed = 42;
+  std::uint64_t trial = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::make_instance(s, trial++));
+  }
+}
+BENCHMARK(BM_MakeInstanceBa)
+    ->Arg(50000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
 
 // Spanning-forest wave scan at {1, 4} intra-trial threads over the same
 // graph: output is bit-identical (scale_test pins it); the time column

@@ -16,7 +16,8 @@
 int main(int argc, char** argv) {
   using namespace rit;
   using namespace rit::bench;
-  const BenchOptions opts = parse_options(argc, argv, "redteam", 40);
+  const BenchOptions opts = parse_options(argc, argv, "redteam", 40,
+                                          SweepRoute::kThreadsOnly);
 
   sim::Scenario s;
   s.num_users = scaled(5000, opts.scale, 200);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -22,7 +23,7 @@
 namespace rit::bench {
 
 BenchOptions parse_options(int argc, char** argv, const std::string& name,
-                           std::uint64_t default_trials) {
+                           std::uint64_t default_trials, SweepRoute route) {
   cli::Args args(argc, argv);
   BenchOptions opts;
   opts.name = name;
@@ -58,6 +59,17 @@ BenchOptions parse_options(int argc, char** argv, const std::string& name,
   // sink level is warn, tuned for library use).
   log::set_level(log::Level::kInfo);
   args.finish();
+  cli::SweepFlags threads_only;
+  threads_only.threads = opts.sweep_flags.threads;
+  if (route == SweepRoute::kThreadsOnly && opts.sweep_flags != threads_only) {
+    std::cerr << "bench_" << name
+              << ": only --threads applies here; this bench runs its trials "
+                 "outside the sweep engine, so --supervised, --checkpoint, "
+                 "--resume, --checkpoint-every, --max-trial-failures, "
+                 "--trial-timeout-ms and the --shard-*/--heartbeat-* flags "
+                 "are refused\n";
+    std::exit(2);
+  }
   RIT_CHECK_MSG(opts.scale >= 1.0, "--scale must be >= 1");
   RIT_CHECK_MSG(opts.points >= 2, "--points must be >= 2");
   RIT_CHECK_MSG(opts.trials >= 1, "--trials must be >= 1");

@@ -26,7 +26,9 @@
 // rates are identical for every K; means agree to ~1e-12 (Welford
 // merge-order rounding — see EXPERIMENTS.md). The robustness flags
 // (--max-trial-failures, --checkpoint, --resume, --shard-*, ...) never
-// change the output bytes.
+// change the output bytes. Benches that run their trials in their own
+// loops rather than through run_point (SweepRoute::kThreadsOnly) honour
+// only --threads and refuse the others with exit status 2.
 //
 // Observability (see docs/observability.md):
 //   --trace-out=PATH    write a Chrome-trace / Perfetto JSON of every span
@@ -108,9 +110,18 @@ struct BenchOptions {
   std::shared_ptr<SweepState> sweep{std::make_shared<SweepState>()};
 };
 
-/// Parses the standard flags; `name` picks the default CSV path.
+/// How a bench runs its trials: every point through run_point, where every
+/// sweep flag applies, or (partly) in its own loops, which honour only
+/// --threads.
+enum class SweepRoute { kRunPoint, kThreadsOnly };
+
+/// Parses the standard flags; `name` picks the default CSV path. Under
+/// SweepRoute::kThreadsOnly a sweep flag other than --threads is a usage
+/// error: the bench prints why and exits with status 2 before doing any
+/// work, rather than accepting a flag it would ignore.
 BenchOptions parse_options(int argc, char** argv, const std::string& name,
-                           std::uint64_t default_trials);
+                           std::uint64_t default_trials,
+                           SweepRoute route = SweepRoute::kRunPoint);
 
 /// Applies the shared knobs (graph kind, seed, budget policy) to a scenario.
 void apply_options(const BenchOptions& opts, sim::Scenario& scenario);

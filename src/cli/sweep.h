@@ -52,6 +52,8 @@ struct SweepFlags {
   std::uint64_t shard_cpu_s{0};
   unsigned shard_retries{2};
   std::uint64_t heartbeat_timeout_ms{0};
+
+  bool operator==(const SweepFlags&) const = default;
 };
 
 /// Reads the sweep flags from `args` and validates them, throwing

@@ -12,54 +12,18 @@ Graph barabasi_albert(std::uint32_t num_nodes, std::uint32_t edges_per_node,
   RIT_CHECK(num_nodes > edges_per_node);
   std::vector<Edge> edges;
   edges.reserve(static_cast<std::size_t>(num_nodes) * edges_per_node);
-  // repeated-nodes list: each endpoint appears once per incident edge, so a
-  // uniform draw from it is a degree-proportional draw.
-  std::vector<std::uint32_t> endpoints;
-  endpoints.reserve(2ull * num_nodes * edges_per_node);
-
   // Seed: a small clique of edges_per_node+1 nodes (influence both ways).
-  const std::uint32_t seed_n = edges_per_node + 1;
-  for (std::uint32_t u = 0; u < seed_n; ++u) {
-    for (std::uint32_t v = 0; v < seed_n; ++v) {
-      if (u == v) continue;
-      edges.push_back({u, v});
-      endpoints.push_back(u);
+  for (std::uint32_t u = 0; u <= edges_per_node; ++u) {
+    for (std::uint32_t v = 0; v <= edges_per_node; ++v) {
+      if (u != v) edges.push_back({u, v});
     }
   }
-
-  std::vector<std::uint32_t> picked;
-  picked.reserve(edges_per_node);
-  for (std::uint32_t v = seed_n; v < num_nodes; ++v) {
-    picked.clear();
-    // Draw edges_per_node distinct influencers, degree-proportionally.
-    std::size_t guard = 0;
-    while (picked.size() < edges_per_node) {
-      std::uint32_t u = endpoints[rng.uniform_index(endpoints.size())];
-      bool dup = false;
-      for (std::uint32_t w : picked) {
-        if (w == u) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) picked.push_back(u);
-      // Degenerate protection: with tiny seed graphs rejection can loop; fall
-      // back to uniform over all existing nodes after excessive rejections.
-      if (++guard > 64ull * edges_per_node && picked.size() < edges_per_node) {
-        std::uint32_t u2 = static_cast<std::uint32_t>(rng.uniform_index(v));
-        bool dup2 = false;
-        for (std::uint32_t w : picked) {
-          if (w == u2) dup2 = true;
-        }
-        if (!dup2) picked.push_back(u2);
-      }
-    }
-    for (std::uint32_t u : picked) {
-      edges.push_back({u, v});  // influencer u recruits newcomer v
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
+  barabasi_albert_draws(
+      num_nodes, edges_per_node, rng,
+      [&](std::uint32_t v, std::span<const std::uint32_t> picks) {
+        // influencer u recruits newcomer v
+        for (std::uint32_t u : picks) edges.push_back({u, v});
+      });
   return Graph(num_nodes, std::move(edges));
 }
 

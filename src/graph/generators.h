@@ -16,7 +16,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
+#include "common/check.h"
 #include "graph/graph.h"
 #include "rng/rng.h"
 
@@ -28,6 +31,62 @@ namespace rit::graph {
 /// clique. Requires num_nodes > edges_per_node >= 1.
 Graph barabasi_albert(std::uint32_t num_nodes, std::uint32_t edges_per_node,
                       rng::Rng& rng);
+
+/// The draw loop of barabasi_albert, without the graph: for each newcomer
+/// v = edges_per_node+1 .. num_nodes-1 in order, calls
+/// `visit(v, picks)` with v's `edges_per_node` distinct influencers in draw
+/// order (every pick is < v). The seed clique's edges are implied. Draws
+/// exactly what barabasi_albert draws, so a caller that needs only
+/// something computed from the edges (the growth-order forest in
+/// tree/builders.h) skips the edge list and the CSR.
+template <class Visit>
+void barabasi_albert_draws(std::uint32_t num_nodes,
+                           std::uint32_t edges_per_node, rng::Rng& rng,
+                           Visit&& visit) {
+  RIT_CHECK(edges_per_node >= 1);
+  RIT_CHECK(num_nodes > edges_per_node);
+  const std::uint32_t m = edges_per_node;
+  const std::uint32_t seed_n = m + 1;
+  // A uniform draw from the repeated-nodes list (each endpoint once per
+  // incident edge) is a degree-proportional draw. The list is virtual: the
+  // clique's m(m+1) slots hold r / m, and after them newcomer edge e holds
+  // its influencer at slot 2e and its newcomer seed_n + e / m at slot 2e+1,
+  // so only the influencers are stored.
+  const std::uint64_t clique_slots = std::uint64_t{m} * seed_n;
+  std::vector<std::uint32_t> influencers;
+  influencers.reserve(std::uint64_t{num_nodes - seed_n} * m);
+  for (std::uint32_t v = seed_n; v < num_nodes; ++v) {
+    const std::size_t first = influencers.size();
+    const std::size_t slots = clique_slots + 2 * first;
+    const auto picked = [&](std::uint32_t u) {
+      for (std::size_t i = first; i < influencers.size(); ++i) {
+        if (influencers[i] == u) return true;
+      }
+      return false;
+    };
+    // Draw edges_per_node distinct influencers, degree-proportionally.
+    std::size_t guard = 0;
+    while (influencers.size() - first < m) {
+      const std::size_t r = rng.uniform_index(slots);
+      std::uint32_t u;
+      if (r < clique_slots) {
+        u = static_cast<std::uint32_t>(r / m);
+      } else {
+        const std::size_t h = r - clique_slots;
+        u = (h & 1) ? seed_n + static_cast<std::uint32_t>(h / (2 * m))
+                    : influencers[h >> 1];
+      }
+      if (!picked(u)) influencers.push_back(u);
+      // Degenerate protection: with tiny seed graphs rejection can loop; fall
+      // back to uniform over all existing nodes after excessive rejections.
+      if (++guard > 64ull * m && influencers.size() - first < m) {
+        const auto u2 = static_cast<std::uint32_t>(rng.uniform_index(v));
+        if (!picked(u2)) influencers.push_back(u2);
+      }
+    }
+    visit(v, std::span<const std::uint32_t>(influencers.data() + first, m));
+  }
+}
 
 /// Erdős–Rényi G(n, p) digraph (each ordered pair independently with
 /// probability p, no self-loops). Uses geometric skipping, O(E) expected.

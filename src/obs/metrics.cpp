@@ -119,8 +119,9 @@ std::string MetricsSnapshot::to_json() const {
 Counter& Registry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  if (!slot.counter) slot.counter = std::make_unique<Counter>();
+  slot.listed = true;
+  return *slot.counter;
 }
 
 Gauge& Registry::gauge(const std::string& name) {
@@ -170,7 +171,10 @@ Reservoir& Registry::reservoir(const std::string& name,
 MetricsSnapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot s;
-  for (const auto& [name, c] : counters_) s.counters[name] = c->value();
+  for (const auto& [name, slot] : counters_) {
+    const std::uint64_t v = slot.counter->value();
+    if (slot.listed || v != 0) s.counters[name] = v;
+  }
   for (const auto& [name, g] : gauges_) {
     if (const auto v = g->value()) s.gauges[name] = *v;
   }
@@ -200,7 +204,10 @@ void Registry::absorb(const MetricsSnapshot& s) {
 
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
+  for (auto& [name, slot] : counters_) {
+    slot.counter->v_.store(0, std::memory_order_relaxed);
+    slot.listed = false;
+  }
   gauges_.clear();
   stats_.clear();
   histograms_.clear();

@@ -38,6 +38,7 @@ class Counter {
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
+  friend class Registry;  // Registry::reset zeroes counters in place
   std::atomic<std::uint64_t> v_{0};
 };
 
@@ -184,8 +185,9 @@ struct MetricsSnapshot {
 
 class Registry {
  public:
-  /// Lookup-or-create. References stay valid for the registry's lifetime
-  /// (instruments are stored behind unique_ptr).
+  /// Lookup-or-create. References stay valid until reset(), and counter
+  /// references (which RIT_COUNTER_ADD call sites cache) for the registry's
+  /// lifetime (instruments are stored behind unique_ptr).
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Stat& stat(const std::string& name);
@@ -200,14 +202,20 @@ class Registry {
   /// Folds a snapshot into this registry (same semantics as
   /// MetricsSnapshot::merge, applied to the live instruments).
   void absorb(const MetricsSnapshot& s);
-  /// Drops every registered instrument.
+  /// Drops every registered instrument. Counters are zeroed in place rather
+  /// than freed, since call sites hold references to them; a zeroed counter
+  /// is left out of snapshots until it is bumped or looked up again.
   void reset();
 
   static Registry& global();
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
+  struct CounterSlot {
+    std::unique_ptr<Counter> counter;
+    bool listed = false;  // looked up since the last reset()
+  };
+  std::map<std::string, CounterSlot> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Stat>> stats_;
   std::map<std::string, std::unique_ptr<Histo>> histograms_;

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <new>
 #include <sstream>
@@ -139,12 +140,35 @@ std::uint64_t shard_config_hash(const sim::CheckpointSession::Params& parent,
   return fnv1a64(os.str());
 }
 
+/// Removes `<path>.tmp.<digits>` siblings of `path`: the temp files of
+/// write_file_atomic calls whose writer was killed before its rename. No
+/// writer of this sweep is alive when the supervisor calls it.
+void remove_orphaned_temps(const std::string& path) {
+  namespace fs = std::filesystem;
+  const fs::path file(path);
+  const std::string prefix = file.filename().string() + ".tmp.";
+  std::error_code ec;
+  fs::directory_iterator it(file.has_parent_path() ? file.parent_path()
+                                                   : fs::path("."),
+                            ec);
+  for (; !ec && it != fs::directory_iterator(); it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() > prefix.size() && name.starts_with(prefix) &&
+        std::all_of(name.begin() + static_cast<std::ptrdiff_t>(prefix.size()),
+                    name.end(), [](char c) { return c >= '0' && c <= '9'; })) {
+      std::error_code ignored;
+      fs::remove(it->path(), ignored);
+    }
+  }
+}
+
 /// Pre-validates shard k's durable file: absent -> fresh, matching
 /// bindings -> resume, stale bindings (a previous grid point or sweep
 /// shape) -> unlink and start fresh. A *corrupt* file still throws — torn
 /// state is evidence of a bug, the same refusal the parent checkpoint has.
 void prepare_shard_file(const ShardSlot& slot,
                         const sim::CheckpointSession::Params& parent) {
+  remove_orphaned_temps(slot.path);
   if (!parent.resume) {
     ::unlink(slot.path.c_str());
     return;
@@ -531,7 +555,9 @@ sim::GuardedResult run_trials_supervised(std::uint64_t trials,
   // The shard files served their purpose once the parent's own checkpoint
   // (or the caller) owns the completed point.
   for (const ShardSlot& s : slots) {
-    if (!s.path.empty()) ::unlink(s.path.c_str());
+    if (s.path.empty()) continue;
+    ::unlink(s.path.c_str());
+    remove_orphaned_temps(s.path);
   }
   return out;
 }

@@ -22,8 +22,7 @@ TrialInstance make_instance(const Scenario& scenario, std::uint64_t trial) {
   rng::Rng pop_rng(scenario.trial_seed(trial, kPopulationComponent));
   rng::Rng job_rng(scenario.trial_seed(trial, kJobComponent));
 
-  graph::Graph g = generate_graph(scenario, graph_rng);
-  TreeResult tr = generate_tree(scenario, g);
+  TreeResult tr = generate_instance_tree(scenario, graph_rng);
   return TrialInstance{
       generate_population(scenario, pop_rng),
       generate_job(scenario, job_rng),

@@ -74,8 +74,10 @@ struct Scenario {
   std::uint32_t initial_joiners = 10;
 
   /// Worker threads for the deterministic intra-trial parallel pass of
-  /// workload generation (the spanning-forest wave scan;
-  /// core::RitConfig::intra_threads covers the payment phase). The pass is
+  /// workload generation (the spanning-forest wave scan, which BA trials
+  /// whose initial joiners cover the seed clique skip: they take the
+  /// growth-order forest; core::RitConfig::intra_threads covers the payment
+  /// phase). The pass is
   /// bit-identical at any setting, so this knob is deliberately
   /// excluded from scenario serialization and checkpoint identity: it can
   /// never change what a trial computes, only how fast.

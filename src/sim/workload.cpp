@@ -72,22 +72,44 @@ graph::Graph generate_graph(const Scenario& scenario, rng::Rng& rng) {
   return graph::star(1);  // unreachable
 }
 
-TreeResult generate_tree(const Scenario& scenario, const graph::Graph& g) {
-  tree::SpanningForestOptions opts;
-  const std::uint32_t seeds =
-      std::min<std::uint32_t>(std::max<std::uint32_t>(scenario.initial_joiners, 1),
-                              g.num_nodes());
-  opts.seeds.resize(seeds);
-  std::iota(opts.seeds.begin(), opts.seeds.end(), 0u);
-  opts.attach_unreached_to_root = true;
-  opts.threads = scenario.intra_threads;
-  tree::SpanningForestResult forest = tree::build_spanning_forest(g, opts);
-  RIT_CHECK_MSG(forest.tree.num_participants() == g.num_nodes(),
+namespace {
+
+/// Users 0..k-1 join first, k = initial_joiners clamped to [1, num_nodes].
+std::uint32_t seed_count(const Scenario& scenario, std::uint32_t num_nodes) {
+  return std::min<std::uint32_t>(
+      std::max<std::uint32_t>(scenario.initial_joiners, 1), num_nodes);
+}
+
+TreeResult to_tree_result(tree::SpanningForestResult forest,
+                          std::uint32_t num_nodes) {
+  RIT_CHECK_MSG(forest.tree.num_participants() == num_nodes,
                 "expected every user to join the tree");
   TreeResult out{std::move(forest.tree), {}};
   out.graph_node_of_participant.assign(forest.graph_of.begin() + 1,
                                        forest.graph_of.end());
   return out;
+}
+
+}  // namespace
+
+TreeResult generate_tree(const Scenario& scenario, const graph::Graph& g) {
+  tree::SpanningForestOptions opts;
+  opts.seeds.resize(seed_count(scenario, g.num_nodes()));
+  std::iota(opts.seeds.begin(), opts.seeds.end(), 0u);
+  opts.attach_unreached_to_root = true;
+  opts.threads = scenario.intra_threads;
+  return to_tree_result(tree::build_spanning_forest(g, opts), g.num_nodes());
+}
+
+TreeResult generate_instance_tree(const Scenario& scenario, rng::Rng& rng) {
+  const std::uint32_t n = scenario.num_users;
+  if (scenario.graph == GraphKind::kBarabasiAlbert && n > 0) {
+    if (auto forest = tree::barabasi_albert_forest(
+            n, scenario.ba_edges_per_node, seed_count(scenario, n), rng)) {
+      return to_tree_result(std::move(*forest), n);
+    }
+  }
+  return generate_tree(scenario, generate_graph(scenario, rng));
 }
 
 }  // namespace rit::sim

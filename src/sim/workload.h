@@ -45,4 +45,10 @@ struct TreeResult {
 };
 TreeResult generate_tree(const Scenario& scenario, const graph::Graph& g);
 
+/// generate_tree(scenario, generate_graph(scenario, rng)), the same tree
+/// and the same draws. A Barabási–Albert scenario whose initial joiners
+/// cover the seed clique takes tree::barabasi_albert_forest and never
+/// builds the graph; every other scenario takes the two calls above.
+TreeResult generate_instance_tree(const Scenario& scenario, rng::Rng& rng);
+
 }  // namespace rit::sim

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/parallel.h"
+#include "graph/generators.h"
 #include "obs/obs.h"
 
 namespace rit::tree {
@@ -40,6 +41,45 @@ void sort_wave(std::vector<std::uint32_t>& ids,
   for (std::uint32_t v : scratch) ids[counts[kBuckets + (v >> 16)]++] = v;
 }
 
+/// inviter[u] of a user who has not joined yet.
+constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
+/// inviter[u] of a user who joins with the platform as parent (a seed).
+constexpr std::uint32_t kRootInviter = kUnset - 1;
+
+/// What the BFS forest needs from a Barabási–Albert draw whose seeds cover
+/// the clique: level[u] is u's BFS wave (seeds are wave 0) and inviter[u]
+/// the smallest-id influencer of u in the wave before it.
+struct BaGrowth {
+  std::vector<std::uint32_t> level;
+  std::vector<std::uint32_t> inviter;
+  std::uint32_t max_level = 0;
+};
+
+BaGrowth grow_barabasi_albert(std::uint32_t n, std::uint32_t edges_per_node,
+                              std::uint32_t num_seeds, rng::Rng& rng) {
+  RIT_TRACE_SPAN("graph.generate");
+  BaGrowth g{std::vector<std::uint32_t>(n, 0),
+             std::vector<std::uint32_t>(n, kRootInviter), 0};
+  graph::barabasi_albert_draws(
+      n, edges_per_node, rng,
+      [&](std::uint32_t v, std::span<const std::uint32_t> picks) {
+        if (v < num_seeds) return;
+        std::uint32_t best = picks[0];
+        std::uint32_t best_level = g.level[best];
+        for (std::uint32_t u : picks.subspan(1)) {
+          const std::uint32_t l = g.level[u];
+          if (l < best_level || (l == best_level && u < best)) {
+            best = u;
+            best_level = l;
+          }
+        }
+        g.level[v] = best_level + 1;
+        g.inviter[v] = best;
+        g.max_level = std::max(g.max_level, best_level + 1);
+      });
+  return g;
+}
+
 }  // namespace
 
 SpanningForestResult build_spanning_forest(const graph::Graph& g,
@@ -48,10 +88,8 @@ SpanningForestResult build_spanning_forest(const graph::Graph& g,
   RIT_CHECK_MSG(!opts.seeds.empty(), "spanning forest needs at least one seed");
   const std::uint32_t n = g.num_nodes();
   const std::uint32_t cap = opts.max_users.value_or(n);
-  constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
 
   // inviter[u]: graph node that recruited u; kRootInviter for seeds.
-  constexpr std::uint32_t kRootInviter = std::numeric_limits<std::uint32_t>::max() - 1;
   std::vector<std::uint32_t> inviter(n, kUnset);
   std::vector<std::uint32_t> join_order;
   join_order.reserve(std::min(n, cap));
@@ -164,6 +202,40 @@ SpanningForestResult build_spanning_forest(const graph::Graph& g,
     parents[node_of_participant(i)] =
         inviter[u] == kRootInviter ? 0 : res.node_of[inviter[u]];
   }
+  res.tree = IncentiveTree(std::move(parents));
+  return res;
+}
+
+std::optional<SpanningForestResult> barabasi_albert_forest(
+    std::uint32_t num_nodes, std::uint32_t edges_per_node,
+    std::uint32_t num_seeds, rng::Rng& rng) {
+  RIT_CHECK(num_seeds >= 1 && num_seeds <= num_nodes);
+  if (num_seeds <= edges_per_node) return std::nullopt;
+  const std::uint32_t n = num_nodes;
+  BaGrowth growth = grow_barabasi_albert(n, edges_per_node, num_seeds, rng);
+
+  RIT_TRACE_SPAN("tree.build");
+  // Join order: wave by wave, ascending id within a wave — a stable
+  // counting sort of the ids by level.
+  std::vector<std::uint32_t> slot(std::size_t{growth.max_level} + 2, 0);
+  for (std::uint32_t l : growth.level) ++slot[l + 1];
+  for (std::size_t l = 1; l < slot.size(); ++l) slot[l] += slot[l - 1];
+  SpanningForestResult res{IncentiveTree::root_only(), {}, {}, {}};
+  res.joined.assign(n, true);
+  res.node_of.resize(n);
+  res.graph_of.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (std::uint32_t u = 0; u < n; ++u) {
+    const std::uint32_t node = node_of_participant(slot[growth.level[u]]++);
+    res.node_of[u] = node;
+    res.graph_of[node] = u;
+  }
+  std::vector<std::uint32_t> parents(static_cast<std::size_t>(n) + 1, 0);
+  for (std::uint32_t u = 0; u < n; ++u) {
+    const std::uint32_t inviter = growth.inviter[u];
+    parents[res.node_of[u]] =
+        inviter == kRootInviter ? 0 : res.node_of[inviter];
+  }
+  growth = {};  // free the draw state before the tree allocates its arrays
   res.tree = IncentiveTree(std::move(parents));
   return res;
 }

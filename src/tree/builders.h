@@ -54,6 +54,22 @@ struct SpanningForestResult {
 SpanningForestResult build_spanning_forest(const graph::Graph& g,
                                            const SpanningForestOptions& opts);
 
+/// The Sec. 7-A forest of a Barabási–Albert graph, drawn and built in one
+/// pass: returns build_spanning_forest(barabasi_albert(num_nodes,
+/// edges_per_node, rng), {seeds 0..num_seeds-1, every user joins}) without
+/// the edge list, the CSR or the BFS, and leaves `rng` where
+/// barabasi_albert would. Every edge into a newcomer comes from an earlier
+/// node, so once the seeds cover the seed clique (num_seeds >=
+/// edges_per_node + 1) a non-seed joins one wave after the earliest wave
+/// among its influencers, invited by the smallest-id influencer in that
+/// wave: its level and inviter are known as soon as it is drawn. Returns
+/// nullopt, drawing nothing, when the seeds do not cover the clique; the
+/// caller then builds the graph and runs build_spanning_forest.
+/// Requires 1 <= num_seeds <= num_nodes.
+std::optional<SpanningForestResult> barabasi_albert_forest(
+    std::uint32_t num_nodes, std::uint32_t edges_per_node,
+    std::uint32_t num_seeds, rng::Rng& rng);
+
 /// Uniform random recursive tree over `num_participants` users: participant
 /// i attaches to the platform root with probability `root_prob`, otherwise
 /// to a uniformly random earlier participant. Used by tests and by scenarios

@@ -25,6 +25,9 @@ class IncentiveTree {
   /// i >= 1; parents[0] is ignored (root). Parents may reference any node id
   /// (forward or backward); the constructor validates that the structure is
   /// a single tree rooted at 0 and computes depths and a preorder layout.
+  /// When every parent precedes its child (parents[i] < i, as in any tree
+  /// whose ids follow join order) the layout takes three linear passes over
+  /// ids instead of a DFS; the arrays are the same either way.
   explicit IncentiveTree(std::vector<std::uint32_t> parents);
 
   /// Convenience: a tree with only the platform root.

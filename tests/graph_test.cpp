@@ -197,15 +197,25 @@ TEST(Generators, ErdosRenyiTinyPSkipsPastTheEnd) {
 
 // FNV-1a over "from to\n" per edge, plus the next draw of the generator's
 // stream, so both the edge list and the number of draws consumed are pinned.
-std::uint64_t er_digest(std::uint32_t n, double p, std::uint64_t seed) {
-  rng::Rng rng(seed);
-  const Graph g = erdos_renyi(n, p, rng);
+std::uint64_t edge_digest(const Graph& g, rng::Rng& rng) {
   std::string text;
   for (const Edge& e : g.edges()) {
     text += format_u64(e.from) + " " + format_u64(e.to) + "\n";
   }
   text += format_u64(rng.next_u64());
   return fnv1a64(text);
+}
+
+std::uint64_t er_digest(std::uint32_t n, double p, std::uint64_t seed) {
+  rng::Rng rng(seed);
+  const Graph g = erdos_renyi(n, p, rng);
+  return edge_digest(g, rng);
+}
+
+std::uint64_t ba_digest(std::uint32_t n, std::uint32_t m, std::uint64_t seed) {
+  rng::Rng rng(seed);
+  const Graph g = barabasi_albert(n, m, rng);
+  return edge_digest(g, rng);
 }
 
 TEST(Generators, ErdosRenyiEdgeListIsPinned) {
@@ -215,6 +225,15 @@ TEST(Generators, ErdosRenyiEdgeListIsPinned) {
   EXPECT_EQ(er_digest(2000, 0.003, 11), 9622946537957243374ull);
   EXPECT_EQ(er_digest(50, 0.5, 20170605), 15326367831563066858ull);
   EXPECT_EQ(er_digest(1000, 1e-7, 46), 1276906933004702737ull);
+}
+
+TEST(Generators, BarabasiAlbertEdgeListIsPinned) {
+  // Recorded from the loop that stored both endpoints of every edge: the
+  // half-stored repeated-nodes list must draw the same influencers.
+  EXPECT_EQ(ba_digest(50000, 1, 20170605), 17919335592789732271ull);
+  EXPECT_EQ(ba_digest(50000, 3, 20170605), 5541716466538082140ull);
+  EXPECT_EQ(ba_digest(50000, 3, 42), 9199559949622219452ull);
+  EXPECT_EQ(ba_digest(12, 5, 7), 134612291363478931ull);
 }
 
 TEST(Generators, WattsStrogatzUnrewiredIsRegularRing) {

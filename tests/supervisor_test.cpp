@@ -390,6 +390,44 @@ TEST(Supervisor, InProcessCheckpointResumesSupervised) {
   expect_results_identical(again, supervised);
 }
 
+TEST(Supervisor, ResumeRemovesOrphanedShardTempFiles) {
+  // A shard SIGKILLed inside its checkpoint write leaves the atomic
+  // write's `<ckpt>.shard<k>.tmp.<pid>` behind; the resumed sweep must not
+  // leave it there once the point completes.
+  const std::uint64_t trials = 10;
+  const fs::path dir = scratch("orphans");
+  const GuardedResult reference = sim::run_trials_guarded(
+      trials, 2, GuardPolicy{}, synthetic_body(), seed_of);
+  sim::CheckpointSession::Params p = every_trial(dir, 2, trials);
+  {
+    sim::CheckpointSession session(p);
+    GuardPolicy chaos_kill;
+    chaos_kill.chaos.kill_after_checkpoints = 3;
+    EXPECT_THROW(sim::run_trials_guarded(trials, 2, chaos_kill,
+                                         synthetic_body(), seed_of, &session),
+                 sim::chaos::ChaosKill);
+  }
+  const auto plant = [](const std::string& path) {
+    std::ofstream(path) << "torn checkpoint";
+    return path;
+  };
+  const std::string orphan0 = plant(p.path + ".shard0.tmp.4242");
+  const std::string orphan1 = plant(p.path + ".shard1.tmp.17");
+  // Not a temp file of a shard slot: left alone.
+  const std::string bystander = plant(p.path + ".shard1.tmp.17.keep");
+
+  p.resume = true;
+  sim::CheckpointSession session(p);
+  SupervisorOptions opts;
+  opts.shards = 2;
+  const GuardedResult resumed = run_trials_supervised(
+      trials, opts, GuardPolicy{}, synthetic_body(), seed_of, &session);
+  expect_results_identical(resumed, reference);
+  EXPECT_FALSE(fs::exists(orphan0));
+  EXPECT_FALSE(fs::exists(orphan1));
+  EXPECT_TRUE(fs::exists(bystander));
+}
+
 TEST(Supervisor, ScenarioDrivenParityOnDeterministicFields) {
   // Real scenario trials time themselves (runtime_* is wall clock), so the
   // cross-engine comparison pins every *deterministic* field bit-exactly

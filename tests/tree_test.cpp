@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <optional>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -309,6 +313,132 @@ TEST(Builders, SpanningForestMatchesNaiveBfs) {
   expect_forest_matches_naive(graph::path(3000), one_seed, 1, "path");
   expect_forest_matches_naive(graph::star(10000), one_seed, kRadixWave,
                               "star");
+}
+
+TEST(Builders, BarabasiAlbertForestMatchesCsrBfs) {
+  for (const std::uint32_t m : {1u, 2u, 3u, 5u}) {
+    for (const std::uint32_t n : {m + 2, 1000u, 50000u}) {
+      for (const std::uint32_t k_wanted : {1u, m, m + 1, 10u}) {
+        const std::uint32_t k = std::min(k_wanted, n);
+        const std::string what = "n=" + std::to_string(n) +
+                                 " m=" + std::to_string(m) +
+                                 " k=" + std::to_string(k);
+        const std::uint64_t seed = 1000003ull * n + 101ull * m + k;
+        rng::Rng grown_rng(seed);
+        const std::optional<SpanningForestResult> grown =
+            barabasi_albert_forest(n, m, k, grown_rng);
+        rng::Rng csr_rng(seed);
+        if (k < m + 1) {
+          // The seeds miss part of the clique: the caller must fall back,
+          // and nothing may have been drawn.
+          EXPECT_FALSE(grown.has_value()) << what;
+          EXPECT_EQ(grown_rng.next_u64(), csr_rng.next_u64()) << what;
+          continue;
+        }
+        ASSERT_TRUE(grown.has_value()) << what;
+        const graph::Graph g = graph::barabasi_albert(n, m, csr_rng);
+        SpanningForestOptions opts;
+        opts.seeds.resize(k);
+        std::iota(opts.seeds.begin(), opts.seeds.end(), 0u);
+        const SpanningForestResult want = build_spanning_forest(g, opts);
+        EXPECT_EQ(grown->tree.parents(), want.tree.parents()) << what;
+        EXPECT_EQ(grown->graph_of, want.graph_of) << what;
+        EXPECT_EQ(grown->node_of, want.node_of) << what;
+        EXPECT_EQ(grown->joined, want.joined) << what;
+        EXPECT_EQ(grown->tree.max_depth(), want.tree.max_depth()) << what;
+        // Both leave the stream at the same place.
+        EXPECT_EQ(grown_rng.next_u64(), csr_rng.next_u64()) << what;
+      }
+    }
+  }
+}
+
+// The layout the constructor's DFS computes, rebuilt here from scratch:
+// children in ascending id, preorder visiting them in that order.
+struct Layout {
+  std::vector<std::vector<std::uint32_t>> children;
+  std::vector<std::uint32_t> depth, subtree_size, preorder, preorder_pos;
+};
+
+Layout reference_layout(const std::vector<std::uint32_t>& parents) {
+  const auto n = static_cast<std::uint32_t>(parents.size());
+  Layout l;
+  l.children.resize(n);
+  for (std::uint32_t v = 1; v < n; ++v) l.children[parents[v]].push_back(v);
+  l.depth.assign(n, 0);
+  l.subtree_size.assign(n, 1);
+  l.preorder_pos.assign(n, 0);
+  std::vector<std::uint32_t> stack{0};
+  while (!stack.empty()) {
+    const std::uint32_t v = stack.back();
+    stack.pop_back();
+    l.preorder_pos[v] = static_cast<std::uint32_t>(l.preorder.size());
+    l.preorder.push_back(v);
+    for (auto it = l.children[v].rbegin(); it != l.children[v].rend(); ++it) {
+      l.depth[*it] = l.depth[v] + 1;
+      stack.push_back(*it);
+    }
+  }
+  for (std::size_t i = l.preorder.size(); i > 1; --i) {
+    const std::uint32_t v = l.preorder[i - 1];
+    l.subtree_size[parents[v]] += l.subtree_size[v];
+  }
+  return l;
+}
+
+void expect_layout_matches_reference(const IncentiveTree& t,
+                                     const char* what) {
+  const Layout want = reference_layout(t.parents());
+  ASSERT_EQ(want.preorder.size(), t.num_nodes()) << what;
+  EXPECT_TRUE(std::equal(want.preorder.begin(), want.preorder.end(),
+                         t.preorder().begin(), t.preorder().end()))
+      << what;
+  for (std::uint32_t v = 0; v < t.num_nodes(); ++v) {
+    const std::string at = std::string(what) + ": node " + std::to_string(v);
+    ASSERT_EQ(t.depth(v), want.depth[v]) << at;
+    ASSERT_EQ(t.subtree_size(v), want.subtree_size[v]) << at;
+    ASSERT_EQ(t.preorder_index(v), want.preorder_pos[v]) << at;
+    const auto kids = t.children(v);
+    ASSERT_TRUE(std::equal(kids.begin(), kids.end(), want.children[v].begin(),
+                           want.children[v].end()))
+        << at;
+  }
+  EXPECT_EQ(t.max_depth(),
+            *std::max_element(want.depth.begin(), want.depth.end()))
+      << what;
+}
+
+TEST(IncentiveTree, ForwardPassLayoutMatchesDfs) {
+  rng::Rng rng(77);
+  const IncentiveTree recursive = random_recursive_tree(20000, 0.05, rng);
+  expect_layout_matches_reference(recursive, "random recursive");
+  expect_layout_matches_reference(random_recursive_tree(5000, 0.0, rng),
+                                  "random recursive, one root child");
+  expect_layout_matches_reference(chain_tree(3000), "chain");
+  expect_layout_matches_reference(flat_tree(3000), "flat");
+  expect_layout_matches_reference(IncentiveTree::root_only(), "root only");
+  rng::Rng ba_rng(78);
+  const auto ba = barabasi_albert_forest(30000, 3, 10, ba_rng);
+  ASSERT_TRUE(ba.has_value());
+  expect_layout_matches_reference(ba->tree, "ba growth forest");
+
+  // A random relabelling puts some parents after their children, which
+  // sends the constructor down the DFS.
+  const std::uint32_t n = recursive.num_nodes();
+  std::vector<std::uint32_t> label(n);
+  std::iota(label.begin(), label.end(), 0u);
+  rng.shuffle(std::span<std::uint32_t>(label).subspan(1));
+  std::vector<std::uint32_t> relabelled(n, 0);
+  for (std::uint32_t v = 1; v < n; ++v) {
+    relabelled[label[v]] = label[recursive.parent(v)];
+  }
+  bool forward_reference = false;
+  for (std::uint32_t v = 1; v < n; ++v) {
+    forward_reference = forward_reference || relabelled[v] > v;
+  }
+  ASSERT_TRUE(forward_reference);
+  expect_layout_matches_reference(IncentiveTree(std::move(relabelled)),
+                                  "relabelled");
 }
 
 TEST(Render, AsciiShowsStructure) {

@@ -111,8 +111,7 @@ int run_with_population(const sim::Scenario& base, const std::string& path) {
   }
   s.num_types = std::max(s.num_types, num_types);
   rng::Rng graph_rng(s.trial_seed(0, 0));
-  const graph::Graph g = sim::generate_graph(s, graph_rng);
-  const sim::TreeResult tr = sim::generate_tree(s, g);
+  const sim::TreeResult tr = sim::generate_instance_tree(s, graph_rng);
   rng::Rng job_rng(s.trial_seed(0, 2));
   const core::Job job = sim::generate_job(s, job_rng);
   rng::Rng rng(s.trial_seed(0, 3));
