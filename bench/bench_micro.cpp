@@ -29,6 +29,7 @@
 #include "obs/obs.h"
 #include "rng/rng.h"
 #include "sim/runner.h"
+#include "sim/workload.h"
 #include "tree/builders.h"
 
 // --- Heap-allocation counter ----------------------------------------------
@@ -430,6 +431,40 @@ void BM_MakeInstanceBa(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeInstanceBa)
     ->Arg(50000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
+
+// The tree layout alone (validation, depths, subtree sizes, preorder) on a
+// trial-shaped BA forest's parent vector: tree.build's share of a
+// growth-order instance.
+void BM_IncentiveTreeLayout(benchmark::State& state) {
+  rng::Rng rng(42);
+  const auto forest = tree::barabasi_albert_forest(
+      static_cast<std::uint32_t>(state.range(0)), 3, 10, rng);
+  const std::vector<std::uint32_t>& parents = forest->tree.parents();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree::IncentiveTree(parents));
+  }
+}
+BENCHMARK(BM_IncentiveTreeLayout)
+    ->Arg(60000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
+
+// The population half of a trial_1m instance: one type, quantity and cost
+// draw per user.
+void BM_GeneratePopulation(benchmark::State& state) {
+  sim::Scenario s;
+  s.num_users = static_cast<std::uint32_t>(state.range(0));
+  s.num_types = 10;
+  s.k_max = 20;
+  s.cost_max = 10.0;
+  rng::Rng rng(42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::generate_population(s, rng));
+  }
+}
+BENCHMARK(BM_GeneratePopulation)
     ->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 

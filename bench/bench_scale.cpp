@@ -1,15 +1,16 @@
-// Million-user scale ladder: one full trial (graph -> forest -> RIT) at
-// each population rung N in {1e5, 3e5, 1e6, 3e6, 1e7} divided by --scale
+// Million-user scale ladder: one full trial (BA instance -> RIT) at each
+// population rung N in {1e5, 3e5, 1e6, 3e6, 1e7} divided by --scale
 // (default 10, so the stock run tops out at one million users; --scale=1
 // climbs to ten million). Demand scales with the population (m_i = N/200,
 // i.e. total demand = 5% of users) so every rung exercises the same
 // supply/demand regime and the series isolates how runtime grows with N.
 //
 // This is the harness behind docs/scaling.md: combine with
-// --intra-threads=N to engage the deterministic intra-trial parallel
-// passes (bit-identical at any setting), --perf-counters for per-phase
-// hardware counters, and --history-out to append the run to the
-// perf-regression ledger for ritcs-bench-diff.
+// --intra-threads=N to thread the payment pass's subtree queries
+// (bit-identical at any setting; the ladder's BA instances are built in
+// growth order, so the forest's parallel wave scan never runs here),
+// --perf-counters for per-phase hardware counters, and --history-out to
+// append the run to the perf-regression ledger for ritcs-bench-diff.
 #include "bench_support.h"
 
 #include "common/log.h"

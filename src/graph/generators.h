@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -53,20 +54,25 @@ void barabasi_albert_draws(std::uint32_t num_nodes,
   // its influencer at slot 2e and its newcomer seed_n + e / m at slot 2e+1,
   // so only the influencers are stored.
   const std::uint64_t clique_slots = std::uint64_t{m} * seed_n;
-  std::vector<std::uint32_t> influencers;
-  influencers.reserve(std::uint64_t{num_nodes - seed_n} * m);
+  // Every newcomer stores exactly m picks, so the list is sized once and a
+  // pick is appended by writing the next slot and advancing `size` only
+  // when it is new: the duplicate check has no branch to mispredict.
+  const auto influencers = std::make_unique_for_overwrite<std::uint32_t[]>(
+      std::uint64_t{num_nodes - seed_n} * m);
+  std::uint32_t* const list = influencers.get();
+  std::size_t size = 0;
+  const auto append_if_new = [&](std::size_t first, std::uint32_t u) {
+    bool dup = false;
+    for (std::size_t i = first; i < size; ++i) dup |= list[i] == u;
+    list[size] = u;
+    size += !dup;
+  };
   for (std::uint32_t v = seed_n; v < num_nodes; ++v) {
-    const std::size_t first = influencers.size();
+    const std::size_t first = size;
     const std::size_t slots = clique_slots + 2 * first;
-    const auto picked = [&](std::uint32_t u) {
-      for (std::size_t i = first; i < influencers.size(); ++i) {
-        if (influencers[i] == u) return true;
-      }
-      return false;
-    };
     // Draw edges_per_node distinct influencers, degree-proportionally.
     std::size_t guard = 0;
-    while (influencers.size() - first < m) {
+    while (size - first < m) {
       const std::size_t r = rng.uniform_index(slots);
       std::uint32_t u;
       if (r < clique_slots) {
@@ -74,17 +80,17 @@ void barabasi_albert_draws(std::uint32_t num_nodes,
       } else {
         const std::size_t h = r - clique_slots;
         u = (h & 1) ? seed_n + static_cast<std::uint32_t>(h / (2 * m))
-                    : influencers[h >> 1];
+                    : list[h >> 1];
       }
-      if (!picked(u)) influencers.push_back(u);
+      append_if_new(first, u);
       // Degenerate protection: with tiny seed graphs rejection can loop; fall
       // back to uniform over all existing nodes after excessive rejections.
-      if (++guard > 64ull * m && influencers.size() - first < m) {
-        const auto u2 = static_cast<std::uint32_t>(rng.uniform_index(v));
-        if (!picked(u2)) influencers.push_back(u2);
+      if (++guard > 64ull * m && size - first < m) {
+        append_if_new(first,
+                      static_cast<std::uint32_t>(rng.uniform_index(v)));
       }
     }
-    visit(v, std::span<const std::uint32_t>(influencers.data() + first, m));
+    visit(v, std::span<const std::uint32_t>(list + first, m));
   }
 }
 

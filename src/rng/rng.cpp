@@ -6,42 +6,9 @@
 
 namespace rit::rng {
 
-std::uint64_t Rng::uniform_u64(std::uint64_t bound) {
-  RIT_CHECK(bound > 0);
-  // Lemire 2019: multiply-shift with rejection of the biased low region.
-  std::uint64_t x = next_u64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  std::uint64_t l = static_cast<std::uint64_t>(m);
-  if (l < bound) {
-    std::uint64_t threshold = (0 - bound) % bound;
-    while (l < threshold) {
-      x = next_u64();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  RIT_CHECK(lo <= hi);
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
-  if (span == ~std::uint64_t{0}) return static_cast<std::int64_t>(next_u64());
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
-                                   uniform_u64(span + 1));
-}
-
 double Rng::uniform_real(double lo, double hi) {
   RIT_CHECK(lo < hi);
   return lo + (hi - lo) * uniform01();
-}
-
-double Rng::uniform_real_left_open(double lo, double hi) {
-  RIT_CHECK(lo < hi);
-  // 1 - U is in (0, 1]; scale into (lo, hi].
-  double u = 1.0 - uniform01();
-  return lo + (hi - lo) * u;
 }
 
 bool Rng::bernoulli(double p) {

@@ -16,16 +16,16 @@ Population generate_population(const Scenario& scenario, rng::Rng& rng) {
   RIT_CHECK(scenario.k_max >= 1);
   RIT_CHECK(scenario.cost_max > 0.0);
   Population pop;
-  pop.truthful_asks.reserve(scenario.num_users);
-  pop.costs.reserve(scenario.num_users);
+  pop.truthful_asks.resize(scenario.num_users);
+  pop.costs.resize(scenario.num_users);
   for (std::uint32_t j = 0; j < scenario.num_users; ++j) {
     const TaskType type{
         static_cast<std::uint32_t>(rng.uniform_index(scenario.num_types))};
     const auto quantity = static_cast<std::uint32_t>(
         rng.uniform_int(1, static_cast<std::int64_t>(scenario.k_max)));
     const double cost = rng.uniform_real_left_open(0.0, scenario.cost_max);
-    pop.truthful_asks.push_back(core::Ask{type, quantity, cost});
-    pop.costs.push_back(cost);
+    pop.truthful_asks[j] = core::Ask{type, quantity, cost};
+    pop.costs[j] = cost;
   }
   return pop;
 }
@@ -84,10 +84,10 @@ TreeResult to_tree_result(tree::SpanningForestResult forest,
                           std::uint32_t num_nodes) {
   RIT_CHECK_MSG(forest.tree.num_participants() == num_nodes,
                 "expected every user to join the tree");
-  TreeResult out{std::move(forest.tree), {}};
-  out.graph_node_of_participant.assign(forest.graph_of.begin() + 1,
-                                       forest.graph_of.end());
-  return out;
+  // graph_of's slot 0 is the unused root slot; dropping it in place saves
+  // a copy of the whole permutation.
+  forest.graph_of.erase(forest.graph_of.begin());
+  return TreeResult{std::move(forest.tree), std::move(forest.graph_of)};
 }
 
 }  // namespace

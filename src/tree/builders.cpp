@@ -64,18 +64,16 @@ BaGrowth grow_barabasi_albert(std::uint32_t n, std::uint32_t edges_per_node,
       n, edges_per_node, rng,
       [&](std::uint32_t v, std::span<const std::uint32_t> picks) {
         if (v < num_seeds) return;
-        std::uint32_t best = picks[0];
-        std::uint32_t best_level = g.level[best];
-        for (std::uint32_t u : picks.subspan(1)) {
-          const std::uint32_t l = g.level[u];
-          if (l < best_level || (l == best_level && u < best)) {
-            best = u;
-            best_level = l;
-          }
+        // The minimum (level << 32 | id) key is the lowest-level pick, the
+        // smallest id among ties: no branch per pick.
+        std::uint64_t best = ~std::uint64_t{0};
+        for (std::uint32_t u : picks) {
+          best = std::min(best, std::uint64_t{g.level[u]} << 32 | u);
         }
-        g.level[v] = best_level + 1;
-        g.inviter[v] = best;
-        g.max_level = std::max(g.max_level, best_level + 1);
+        const auto level = static_cast<std::uint32_t>(best >> 32) + 1;
+        g.level[v] = level;
+        g.inviter[v] = static_cast<std::uint32_t>(best);
+        g.max_level = std::max(g.max_level, level);
       });
   return g;
 }
@@ -222,10 +220,11 @@ std::optional<SpanningForestResult> barabasi_albert_forest(
   for (std::size_t l = 1; l < slot.size(); ++l) slot[l] += slot[l - 1];
   SpanningForestResult res{IncentiveTree::root_only(), {}, {}, {}};
   res.joined.assign(n, true);
-  res.node_of.resize(n);
   res.graph_of.assign(static_cast<std::size_t>(n) + 1, 0);
+  // Each user's level turns into its tree node in place.
+  res.node_of = std::move(growth.level);
   for (std::uint32_t u = 0; u < n; ++u) {
-    const std::uint32_t node = node_of_participant(slot[growth.level[u]]++);
+    const std::uint32_t node = node_of_participant(slot[res.node_of[u]]++);
     res.node_of[u] = node;
     res.graph_of[node] = u;
   }

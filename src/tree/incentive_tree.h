@@ -26,8 +26,9 @@ class IncentiveTree {
   /// (forward or backward); the constructor validates that the structure is
   /// a single tree rooted at 0 and computes depths and a preorder layout.
   /// When every parent precedes its child (parents[i] < i, as in any tree
-  /// whose ids follow join order) the layout takes three linear passes over
-  /// ids instead of a DFS; the arrays are the same either way.
+  /// whose ids follow join order) the layout takes four linear passes over
+  /// ids and no child lists; otherwise a DFS over a local child list builds
+  /// it. The arrays are the same either way.
   explicit IncentiveTree(std::vector<std::uint32_t> parents);
 
   /// Convenience: a tree with only the platform root.
@@ -44,11 +45,10 @@ class IncentiveTree {
     return parents_[node];
   }
 
-  std::span<const std::uint32_t> children(std::uint32_t node) const {
-    RIT_CHECK(node < num_nodes());
-    return {child_targets_.data() + child_offsets_[node],
-            child_offsets_[node + 1] - child_offsets_[node]};
-  }
+  /// Children of `node` in ascending id, read off the preorder: the first
+  /// child follows the node, and each next sibling follows the previous
+  /// one's subtree. O(#children); the tree keeps no child lists.
+  std::vector<std::uint32_t> children(std::uint32_t node) const;
 
   /// Distance r_j from node to the root; depth(root) == 0, so users who
   /// joined at the very beginning have depth 1, matching the paper's r_j.
@@ -83,9 +83,12 @@ class IncentiveTree {
   const std::vector<std::uint32_t>& parents() const { return parents_; }
 
  private:
+  /// The layout of a parent vector in which node `first_unordered` is the
+  /// first whose parent does not precede it: validates every parent, then
+  /// a DFS over child lists. Overwrites whatever the forward pass wrote.
+  void build_by_dfs(std::uint32_t first_unordered);
+
   std::vector<std::uint32_t> parents_;
-  std::vector<std::size_t> child_offsets_;
-  std::vector<std::uint32_t> child_targets_;
   std::vector<std::uint32_t> depths_;
   std::vector<std::uint32_t> preorder_;
   std::vector<std::uint32_t> preorder_pos_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -125,6 +126,61 @@ TEST(Rng, UniformIntCoversInclusiveRange) {
 TEST(Rng, UniformIntSingleton) {
   Rng rng(23);
   EXPECT_EQ(rng.uniform_int(5, 5), 5);
+}
+
+// FNV-1a over the little-endian bytes of `count` draws, then of the
+// stream's next raw word, so both the values and the number of raw words
+// they consumed are pinned.
+template <class Draw>
+std::uint64_t draw_digest(std::uint64_t seed, int count, Draw draw) {
+  Rng rng(seed);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (int i = 0; i < count; ++i) mix(draw(rng));
+  mix(rng.next_u64());
+  return h;
+}
+
+TEST(Rng, UniformDrawsArePinned) {
+  // Recorded from the out-of-line draws in rng.cpp: inlining them must not
+  // move a value or a raw word. At 2^63 + 1 about half of the multiplies
+  // fall in the rejected region (4096 values take 8195 words), so the
+  // rejection loop is pinned too.
+  struct Pinned {
+    std::uint64_t bound;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {1, 0x92e41857ee7d41e7ULL},
+      {10, 0x2eb15433061ce6cdULL},
+      {20, 0x58e0d6ce8a25090bULL},
+      {(std::uint64_t{1} << 32) + 1, 0xd13a3779c4d317c5ULL},
+      {(std::uint64_t{1} << 63) + 1, 0x23dae92339a44e0cULL},
+      {~std::uint64_t{0}, 0x5c03626cf6396113ULL},
+  };
+  for (const Pinned& p : pinned) {
+    EXPECT_EQ(draw_digest(20170605, 4096,
+                          [&](Rng& r) { return r.uniform_u64(p.bound); }),
+              p.digest)
+        << "bound " << p.bound;
+  }
+  EXPECT_EQ(draw_digest(20170605, 4096,
+                        [](Rng& r) {
+                          return static_cast<std::uint64_t>(
+                              r.uniform_int(1, 20));
+                        }),
+            0x456f8762669e0893ULL);
+  EXPECT_EQ(draw_digest(20170605, 4096,
+                        [](Rng& r) {
+                          return std::bit_cast<std::uint64_t>(
+                              r.uniform_real_left_open(0.0, 10.0));
+                        }),
+            0x5f5c73b2bfe05251ULL);
 }
 
 TEST(Rng, UniformRealLeftOpenExcludesLoIncludesHi) {

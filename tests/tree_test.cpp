@@ -8,7 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "attack/sybil_apply.h"
+#include "attack/sybil_plan.h"
 #include "common/check.h"
+#include "core/types.h"
 #include "graph/generators.h"
 #include "tree/builders.h"
 #include "tree/incentive_tree.h"
@@ -439,6 +442,53 @@ TEST(IncentiveTree, ForwardPassLayoutMatchesDfs) {
   ASSERT_TRUE(forward_reference);
   expect_layout_matches_reference(IncentiveTree(std::move(relabelled)),
                                   "relabelled");
+}
+
+// children(v) walks the preorder; a scan of the parent vector is the
+// definition it must match: every node whose parent is v, ascending.
+void expect_children_match_parent_scan(const IncentiveTree& t,
+                                       const char* what) {
+  std::vector<std::vector<std::uint32_t>> want(t.num_nodes());
+  for (std::uint32_t v = 1; v < t.num_nodes(); ++v) {
+    want[t.parent(v)].push_back(v);
+  }
+  for (std::uint32_t v = 0; v < t.num_nodes(); ++v) {
+    ASSERT_EQ(t.children(v), want[v]) << what << ": node " << v;
+  }
+}
+
+TEST(IncentiveTree, ChildrenWalkMatchesParentScan) {
+  expect_children_match_parent_scan(IncentiveTree::root_only(), "root only");
+  expect_children_match_parent_scan(example_tree(), "example");
+  rng::Rng ba_rng(91);
+  const auto ba = barabasi_albert_forest(20000, 3, 10, ba_rng);
+  ASSERT_TRUE(ba.has_value());
+  expect_children_match_parent_scan(ba->tree, "ba growth forest");
+  rng::Rng rng(92);
+  const IncentiveTree recursive = random_recursive_tree(20000, 0.05, rng);
+  expect_children_match_parent_scan(recursive, "random recursive");
+
+  // The sybil rewrite re-parents the victim's children onto identities
+  // appended after them, so its tree is laid out by the DFS.
+  std::uint32_t victim = 0;
+  for (std::uint32_t i = 0; i < recursive.num_participants(); ++i) {
+    if (recursive.children(node_of_participant(i)).size() >= 3) {
+      victim = i;
+      break;
+    }
+  }
+  const std::uint32_t victim_node = node_of_participant(victim);
+  ASSERT_GE(recursive.children(victim_node).size(), 3u);
+  const std::vector<core::Ask> asks(recursive.num_participants(),
+                                    core::Ask{TaskType{0}, 6, 1.0});
+  const auto plan = attack::star_plan(recursive, asks, victim, 3, 1.0);
+  const auto attacked = attack::apply_sybil(recursive, asks, plan);
+  bool parent_after_child = false;
+  for (std::uint32_t v = 1; v < attacked.tree.num_nodes(); ++v) {
+    parent_after_child = parent_after_child || attacked.tree.parent(v) > v;
+  }
+  ASSERT_TRUE(parent_after_child);
+  expect_children_match_parent_scan(attacked.tree, "sybil rewrite");
 }
 
 TEST(Render, AsciiShowsStructure) {

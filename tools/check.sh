@@ -32,9 +32,10 @@
 #  10. scale-smoke pinned small-N bench_scale ladder (--scale=1000, tops
 #                 out at 10k users) run twice with --intra-threads=2 into
 #                 fresh ledgers + ritcs-bench-diff self-diff — keeps the
-#                 million-user scale path (parallel passes, flat hot
-#                 structures, the ladder harness itself) exercised end to
-#                 end in every gate run
+#                 million-user scale path (growth-order BA instances, the
+#                 threaded payment queries, flat hot structures, the
+#                 ladder harness itself) exercised end to end in every
+#                 gate run
 #  11. asan+ubsan RIT_SANITIZE=address,undefined build + full ctest
 #                 (memory errors and UB in every code path the suite
 #                 reaches; skipped with a notice when the toolchain cannot
@@ -164,10 +165,12 @@ done
 
 # --- 10. scale smoke: the million-user path at toy size, self-diffed --------
 # Same record/diff discipline as leg 9, but through bench_scale: the pinned
-# --scale=1000 ladder tops out at 10k users, small enough for CI while still
-# running graph generation, forest build and the payment pass through the
-# parallel code paths (--intra-threads=2; results are bit-identical to
-# serial, so only the timings vary between the two runs).
+# --scale=1000 ladder tops out at 10k users, small enough for CI. Its BA
+# trials build their trees in growth order and never reach the forest's
+# parallel wave scan, so --intra-threads=2 threads only the payment queries
+# here (the wave scan's threads are covered by the ScaleIdentity.* tests).
+# Results are bit-identical to serial, so only the timings vary between
+# the two runs.
 step "scale smoke (bench_scale ledger self-diff)"
 for ledger in scale_a scale_b; do
   "$BUILD_ROOT/main/bench/bench_scale" \
